@@ -10,6 +10,7 @@ graph, never on input atom numbering.
 from __future__ import annotations
 
 from ..errors import IlkitError
+from . import table
 from .elements import AROMATIC_ELEMENTS, ORGANIC_SUBSET, atomic_number, implied_hydrogens
 from .mol import (
     AROMATIC,
@@ -24,6 +25,7 @@ from .mol import (
     Bond,
     Molecule,
 )
+from .parser import parse_smiles
 
 _BOND_CODE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 4}
 _ORDER_TOKEN = {SINGLE: "", DOUBLE: "=", TRIPLE: "#", AROMATIC: ""}
@@ -437,10 +439,12 @@ def _stereo_directions(mol: Molecule, visit_pos: list[int], ranks: list[int]) ->
 
 
 def canonicalize(text: str) -> str:
-    """Canonical SMILES of the given SMILES string; the molecular identity key."""
-    from .parser import parse_smiles
+    """Canonical SMILES of the given SMILES string; the molecular identity key.
 
-    return parse_smiles(text).canonical_smiles
+    Memoized per input text in the process-wide molecule table; a bad SMILES
+    raises on every call.
+    """
+    return table.memo(text, lambda: parse_smiles(text).canonical_smiles)
 
 
 def structural_match(a: str, b: str) -> bool:

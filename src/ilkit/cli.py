@@ -40,8 +40,8 @@ from .fingerprints import (
     similarity_matrix,
 )
 from .predictor import (
+    ExternalPredictor,
     MLPConfig,
-    external_predict,
     load_model,
     predict,
     save_model,
@@ -129,7 +129,7 @@ def _make_predictor(args) -> object:
             entries[key] = float(e["value"])
         return LookupPredictor(entries)
     if getattr(args, "external", None):
-        return lambda record: external_predict(args.external, [record])[0]
+        return ExternalPredictor(args.external).start()
     raise ConfigError("need one of --model, --lookup, or --external")
 
 
@@ -273,7 +273,7 @@ def _cmd_similarity(args) -> int:
     mols = [parse_smiles(s) for s in smiles]
     kinds = ["ecfp", "atom_pair"] if args.combine == "mean" else [args.kind]
     matrices = [
-        similarity_matrix(mols, kind, args.radius, args.nbits, threads=args.threads)
+        similarity_matrix(mols, kind, args.radius, args.nbits)
         for kind in kinds
     ]
     matrix = np.mean(matrices, axis=0)
@@ -344,19 +344,27 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+def _close_predictor(predictor) -> None:
+    if isinstance(predictor, ExternalPredictor):
+        predictor.close()
+
+
 def _cmd_search(args) -> int:
     records = load_records(args.records)
     predictor = _make_predictor(args)
-    config = _search_config(args)
-    seeds_result = top_k_seeds(records, predictor, config)
-    pools = {}
-    for role in ("cation", "anion", "solute", "solvent"):
-        path = getattr(args, f"{role}_pool")
-        if path:
-            pools[role] = _load_pool(path)
-    if not pools:
-        raise ConfigError("search needs at least one --<role>-pool file")
-    result = beam_search([c.record for c in seeds_result.ranked], pools, predictor, config)
+    try:
+        config = _search_config(args)
+        seeds_result = top_k_seeds(records, predictor, config)
+        pools = {}
+        for role in ("cation", "anion", "solute", "solvent"):
+            path = getattr(args, f"{role}_pool")
+            if path:
+                pools[role] = _load_pool(path)
+        if not pools:
+            raise ConfigError("search needs at least one --<role>-pool file")
+        result = beam_search([c.record for c in seeds_result.ranked], pools, predictor, config)
+    finally:
+        _close_predictor(predictor)
     _write_candidates_jsonl(result, args.output)
     if args.trajectory_out:
         with open(args.trajectory_out, "w") as fh:
@@ -368,17 +376,20 @@ def _cmd_search(args) -> int:
 
 def _cmd_modify(args, mutate_anion: bool) -> int:
     predictor = _make_predictor(args)
-    config = _search_config(args)
-    if mutate_anion:
-        result = modify_anion(
-            args.cation, args.seed_anion, _load_pool(args.pool), predictor,
-            solute=args.solute, budget=args.budget, config=config,
-        )
-    else:
-        result = modify_side_chain(
-            args.anion, args.seed_cation, _load_pool(args.pool), predictor,
-            solute=args.solute, budget=args.budget, config=config,
-        )
+    try:
+        config = _search_config(args)
+        if mutate_anion:
+            result = modify_anion(
+                args.cation, args.seed_anion, _load_pool(args.pool), predictor,
+                solute=args.solute, budget=args.budget, config=config,
+            )
+        else:
+            result = modify_side_chain(
+                args.anion, args.seed_cation, _load_pool(args.pool), predictor,
+                solute=args.solute, budget=args.budget, config=config,
+            )
+    finally:
+        _close_predictor(predictor)
     _write_candidates_jsonl(result, args.output)
     if args.trajectory_out:
         with open(args.trajectory_out, "w") as fh:
@@ -463,12 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
         "similarity, datasets, baselines, evaluation, and beam-search screening.",
     )
     parser.add_argument("--version", action="version", version=f"ilkit {__version__}")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("ILKIT_THREADS", "1")),
-        help="worker cap for parallelizable steps (default 1)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_io(p, records=False):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .chem import canonicalize, parse_smiles
+from .chem import canonicalize, table
 from .descriptors import DESCRIPTOR_NAMES, compute_descriptors
 from .errors import RecordError, SchemaError
 from .featurize import CATEGORIES, CATEGORY_ROLES, ROLE_ORDER
@@ -318,16 +318,11 @@ def generate_synthetic_systems(
     return out
 
 
-_descriptor_cache: dict[str, list[float]] = {}
-
-
-def descriptor_values(smiles: str) -> list[float]:
-    """Descriptor list for a canonical SMILES, cached per molecule."""
-    cached = _descriptor_cache.get(smiles)
-    if cached is None:
-        cached = compute_descriptors(parse_smiles(smiles)).as_list()
-        _descriptor_cache[smiles] = cached
-    return cached
+def descriptor_values(smiles: str) -> tuple[float, ...]:
+    """Descriptors of a canonical SMILES, from the molecule table."""
+    return table.derived(
+        smiles, "descriptors", lambda mol: tuple(compute_descriptors(mol).as_list())
+    )
 
 
 def build_pseudo_labels(record: SystemRecord) -> list[float]:

@@ -219,29 +219,14 @@ def similarity_matrix(
     kind: str = "ecfp",
     radius: int = DEFAULT_RADIUS,
     nbits: int = DEFAULT_NBITS,
-    threads: int = 1,
 ) -> np.ndarray:
-    """Symmetric pairwise Tanimoto matrix with a unit diagonal.
-
-    Cells are independent, so evaluation order (and any parallel chunking)
-    cannot change the result.
-    """
+    """Symmetric pairwise Tanimoto matrix with a unit diagonal."""
     fps = [make_fingerprint(m, kind, radius, nbits) for m in mols]
     n = len(fps)
     out = np.ones((n, n))
-
-    def fill_row(i: int) -> None:
+    for i in range(n):
         for j in range(i + 1, n):
             v = tanimoto(fps[i], fps[j])
             out[i, j] = v
             out[j, i] = v
-
-    if threads > 1 and n > 2:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill_row, range(n)))
-    else:
-        for i in range(n):
-            fill_row(i)
     return out

@@ -306,7 +306,9 @@ class ExternalPredictor:
 
     One request ``{"schema_version": 1, "record": {...}}`` per line on the
     child's stdin, one ``{"value": <float>}`` per line on its stdout, strictly
-    in order with a single request in flight.
+    in order with a single request in flight. Calling the instance on a
+    record sends the next request; errors name its 0-based index among all
+    requests sent to this child.
     """
 
     def __init__(self, command: str | list[str], timeout: float = 10.0):
@@ -314,15 +316,28 @@ class ExternalPredictor:
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
         self._buffer = b""
+        self._sent = 0
+
+    def start(self) -> "ExternalPredictor":
+        """Spawn the child; ``close`` ends it."""
+        try:
+            self._proc = subprocess.Popen(
+                self.command,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                bufsize=0,
+            )
+        except OSError as exc:
+            raise ExternalPredictorError(f"cannot start predictor {self.command}: {exc}") from exc
+        return self
 
     def __enter__(self) -> "ExternalPredictor":
-        self._proc = subprocess.Popen(
-            self.command,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            bufsize=0,
-        )
-        return self
+        return self.start()
+
+    def __call__(self, record: SystemRecord) -> float:
+        index = self._sent
+        self._sent += 1
+        return self.predict_one(record, index)
 
     def __exit__(self, *exc) -> None:
         self.close()

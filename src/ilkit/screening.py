@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
-from .chem import canonicalize, parse_smiles
-from .datasets import STANDARD_TEMPERATURE, SystemRecord
+from .chem import canonicalize, table
+from .datasets import ROLE_ORDER, STANDARD_TEMPERATURE, SystemRecord
 from .errors import ConfigError, SearchError
 from .fingerprints import DEFAULT_NBITS, DEFAULT_RADIUS, make_fingerprint, tanimoto
 
@@ -104,13 +104,20 @@ def top_k_seeds(records: Sequence[SystemRecord], predictor: Callable, config: Se
 
 
 class FingerprintCache:
-    """Memoizes pool fingerprints; share one instance across repeated searches."""
+    """Fingerprints of one kind, radius and width, by canonical SMILES.
+
+    The fingerprints live in the process-wide molecule table
+    (``ilkit.chem.table``), so every instance with the same parameters
+    shares them and none computes a molecule's fingerprint twice while the
+    table holds it. An instance only fixes the parameters that
+    ``beam_search`` checks against its config.
+    """
 
     def __init__(self, kind: str = "ecfp", radius: int = DEFAULT_RADIUS, nbits: int = DEFAULT_NBITS):
         self.kind = kind
         self.radius = radius
         self.nbits = nbits
-        self._store: dict[str, object] = {}
+        self._key = ("fingerprint", kind, radius, nbits)
 
     def matches(self, config: SearchConfig) -> bool:
         return (
@@ -120,11 +127,15 @@ class FingerprintCache:
         )
 
     def get(self, smiles: str):
-        fp = self._store.get(smiles)
-        if fp is None:
-            fp = make_fingerprint(parse_smiles(smiles), self.kind, self.radius, self.nbits)
-            self._store[smiles] = fp
-        return fp
+        """Fingerprint of a canonical SMILES."""
+        return table.derived(
+            smiles, self._key, lambda mol: make_fingerprint(mol, self.kind, self.radius, self.nbits)
+        )
+
+
+def _with_canonical_roles(record: SystemRecord) -> SystemRecord:
+    present = [role for role in ROLE_ORDER if getattr(record, role)]
+    return replace(record, **{role: canonicalize(getattr(record, role)) for role in present})
 
 
 def beam_search(
@@ -148,6 +159,7 @@ def beam_search(
     if not pools:
         raise SearchError("beam_search needs at least one mutable role pool")
     minimize = config.objective == "minimize"
+    seeds = [_with_canonical_roles(rec) for rec in seeds]
     pools = {role: sorted({canonicalize(s) for s in pool}) for role, pool in pools.items()}
     for role, pool in pools.items():
         if not pool:
@@ -156,6 +168,7 @@ def beam_search(
     if fingerprints is not None and not fingerprints.matches(config):
         raise ConfigError("fingerprint cache parameters do not match the search config")
     fps = fingerprints or FingerprintCache(config.fingerprint, config.radius, config.nbits)
+    pool_fps = {role: [fps.get(smiles) for smiles in pool] for role, pool in pools.items()}
     score_cache: dict[tuple, float] = {}
 
     def score(record: SystemRecord) -> float:
@@ -192,11 +205,11 @@ def beam_search(
                 if current is None:
                     raise SearchError(f"seed lacks the mutable role {role!r}")
                 cur_fp = fps.get(current)
-                for smiles in pool:
+                for smiles, fp in zip(pool, pool_fps[role]):
                     if smiles == current:
                         continue
                     any_candidate = True
-                    sim = tanimoto(fps.get(smiles), cur_fp)
+                    sim = tanimoto(fp, cur_fp)
                     if sim < config.similarity_floor:
                         continue
                     any_neighbor = True
@@ -245,9 +258,9 @@ def modify_anion(
     cfg = _modification_config(config, budget)
     seed = SystemRecord(
         category="il_solute",
-        cation=canonicalize(cation),
-        anion=canonicalize(seed_anion),
-        solute=canonicalize(solute),
+        cation=cation,
+        anion=seed_anion,
+        solute=solute,
         temperature=temperature,
     )
     return beam_search([seed], {"anion": anion_pool}, predictor, cfg)
@@ -267,9 +280,9 @@ def modify_side_chain(
     cfg = _modification_config(config, budget)
     seed = SystemRecord(
         category="il_solute",
-        cation=canonicalize(seed_cation),
-        anion=canonicalize(anion),
-        solute=canonicalize(solute),
+        cation=seed_cation,
+        anion=anion,
+        solute=solute,
         temperature=temperature,
     )
     return beam_search([seed], {"cation": cation_pool}, predictor, cfg)

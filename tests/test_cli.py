@@ -415,3 +415,60 @@ def test_evaluate_bundled_demo_dataset(tmp_path):
     assert code == 0, err
     report = json.loads(open(report_path).read())
     assert len(report["per_fold"]) == 5
+
+
+# Fake --external child: logs its pid, then answers len(anion) per request
+# until it has answered ``limit`` requests (negative: no limit) and exits.
+_FAKE_CHILD = """
+import json, os, sys
+log, limit = sys.argv[1], int(sys.argv[2])
+with open(log, "a") as fh:
+    fh.write(f"{os.getpid()}\\n")
+for answered, line in enumerate(sys.stdin):
+    if answered == limit:
+        sys.exit(0)
+    record = json.loads(line)["record"]
+    print(json.dumps({"value": float(len(record["anion"]))}), flush=True)
+"""
+
+
+def _modify_anion_external(tmp_path, ions, limit):
+    script = tmp_path / "child.py"
+    script.write_text(_FAKE_CHILD)
+    log = tmp_path / "pids.txt"
+    anions = [smi for name, smi in ions.items() if name.endswith("_anion")]
+    pool = tmp_path / "anions.smi"
+    pool.write_text("\n".join(anions) + "\n")
+    command = f"{sys.executable} {script} {log} {limit}"
+    code, _out, err = run_cli(
+        ["modify-anion", "--cation", EMIM, "--seed-anion", anions[0], "--pool", str(pool),
+         "--solute", CO2, "--budget", "3", "--external", command,
+         "-o", str(tmp_path / "cands.jsonl"), "--trajectory-out", str(tmp_path / "trail.txt")]
+    )
+    return code, err, log.read_text().split()
+
+
+def test_external_predictor_spawned_once_per_command(tmp_path, ions):
+    code, err, pids = _modify_anion_external(tmp_path, ions, limit=-1)
+    assert code == 0, err
+    assert len(pids) == 1
+    scored = open(tmp_path / "cands.jsonl").read().splitlines()
+    assert len(scored) == 8  # the seed plus every other fixture anion
+
+
+def test_external_predictor_exit_mid_search_names_request(tmp_path, ions):
+    code, err, pids = _modify_anion_external(tmp_path, ions, limit=3)
+    assert code == 1
+    assert len(pids) == 1
+    assert err.startswith("error[external-predictor]: record 3:"), err
+
+
+def test_external_predictor_that_cannot_start(tmp_path):
+    pool = tmp_path / "anions.smi"
+    pool.write_text(SCN + "\n" + "N#C[N-]C#N\n")
+    code, _out, err = run_cli(
+        ["modify-anion", "--cation", EMIM, "--seed-anion", SCN, "--pool", str(pool),
+         "--solute", CO2, "--external", str(tmp_path / "no-such-predictor")]
+    )
+    assert code == 1
+    assert err.startswith("error[external-predictor]: cannot start predictor"), err

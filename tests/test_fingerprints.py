@@ -146,10 +146,3 @@ def test_similarity_matrix_properties():
 def test_similarity_matrix_single_molecule():
     m = similarity_matrix([parse_smiles("CCO")])
     assert m.shape == (1, 1) and m[0, 0] == 1.0
-
-
-def test_similarity_matrix_threaded_matches_serial():
-    mols = corpus(seed=29, size=16)
-    serial = similarity_matrix(mols, threads=1)
-    threaded = similarity_matrix(mols, threads=4)
-    assert np.array_equal(serial, threaded)

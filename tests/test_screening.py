@@ -265,3 +265,17 @@ def test_lookup_predictor_missing_entry():
     predictor = _anion_lookup()
     with pytest.raises(SearchError, match="no entry"):
         predictor(_seed_record("CC(=O)[O-]"))
+
+
+def test_beam_seed_spelling_is_canonicalized():
+    seed = SystemRecord(
+        "il_solute", cation=EMIM, anion="[O-]C(C)=O", solute=CO2, temperature=298.15
+    )
+    pool = ["CC(=O)[O-]", "CCC(=O)[O-]", SCN, DCA]
+    cfg = SearchConfig(iterations=2)
+    result = beam_search([seed], {"anion": pool}, lambda rec: float(len(rec.anion)), cfg)
+    acetate = canonicalize("CC(=O)[O-]")
+    assert [c.provenance for c in result.ranked if c.record.anion == acetate] == ["seed"]
+    assert len(result.ranked) == len(pool)
+    seed_cand = next(c for c in result.ranked if c.provenance == "seed")
+    assert seed_cand.record.roles_key() == (canonicalize(EMIM), acetate, canonicalize(CO2), None)
