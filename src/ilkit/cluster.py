@@ -2,7 +2,9 @@
 
 Distances are 1 - similarity. Ties at each merge step break toward the pair
 whose clusters contain the lowest original leaf indices, which pins down a
-deterministic merge tree and dendrogram leaf order.
+deterministic merge tree and dendrogram leaf order. Distances live in a
+dense n x n matrix (O(n^2) memory, numpy passes over length-n rows per merge);
+each step takes the exact least key, never a nearest-neighbour chain.
 """
 
 from __future__ import annotations
@@ -40,59 +42,58 @@ def hierarchical_cluster(matrix: np.ndarray) -> ClusterResult:
     n = sim.shape[0]
     if n == 0:
         return ClusterResult((), ())
-    if n == 1:
-        return ClusterResult((), (0,))
 
-    dist = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[(i, j)] = 1.0 - sim[i, j]
+    # Slot s holds the live cluster whose lowest leaf is s, so the tie key
+    # (distance, lower min-leaf, higher min-leaf) is (distance, row, column)
+    # over the upper triangle. Only sim[i, j] with i < j is read; retired
+    # slots and the diagonal hold inf.
+    upper = np.triu_indices(n, 1)
+    dist = np.full((n, n), np.inf)
+    dist[upper] = 1.0 - sim[upper]
+    # nn[r] is the first column c > r holding row r's minimum nn_d[r]; the
+    # first row attaining the least nn_d is then the pair with the least key.
+    nn = dist.argmin(axis=1)
+    nn_d = dist[np.arange(n), nn]
+    dist.T[upper] = dist[upper]
 
-    # id -> (size, min original leaf); distances updated with Lance-Williams
-    # average-linkage weights.
-    active: dict[int, tuple[int, int]] = {i: (1, i) for i in range(n)}
-    children: dict[int, tuple[int, int]] = {}
+    ids = list(range(n))          # cluster id in each slot
+    sizes = [1] * n
+    children: list[tuple[int, int]] = []   # of cluster n + k, lower min leaf first
     merges: list[Merge] = []
-    next_id = n
+    for step in range(n - 1):
+        a = int(nn_d.argmin())
+        b = int(nn[a])
+        size = sizes[a] + sizes[b]
+        merges.append(Merge(*sorted((ids[a], ids[b])), float(nn_d[a]), size))
+        children.append((ids[a], ids[b]))
+        # Lance-Williams average linkage (float addition commutes exactly).
+        new = (sizes[a] * dist[a] + sizes[b] * dist[b]) / size
+        dist[a] = dist[:, a] = new
+        dist[b] = dist[:, b] = np.inf
+        ids[a], sizes[a] = n + step, size
+        nn[b], nn_d[b] = -1, np.inf
 
-    def pair_key(i: int, j: int) -> tuple[int, int]:
-        return (i, j) if i < j else (j, i)
+        # Rows above a see the new column a: take it where it is now the
+        # first minimum. Rows whose minimum sat at a (and grew) or at b
+        # rescan; row a is one of them, as its minimum sat at b.
+        head = new[:a]
+        take = (head < nn_d[:a]) | ((head == nn_d[:a]) & (nn[:a] >= a))
+        stale = (nn[:b] == a) | (nn[:b] == b)
+        stale[:a] &= ~take
+        nn[:a][take] = a
+        nn_d[:a][take] = head[take]
+        rows = np.flatnonzero(stale)
+        block = np.where(np.arange(n) > rows[:, None], dist[rows], np.inf)
+        nn[rows] = block.argmin(axis=1)
+        nn_d[rows] = block.min(axis=1)
 
-    while len(active) > 1:
-        best = None
-        for i in sorted(active):
-            for j in sorted(active):
-                if j <= i:
-                    continue
-                d = dist[pair_key(i, j)]
-                key = (d, min(active[i][1], active[j][1]), max(active[i][1], active[j][1]))
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        _key, i, j = best
-        d_ij = dist[pair_key(i, j)]
-        size_i, min_i = active[i]
-        size_j, min_j = active[j]
-        new_size = size_i + size_j
-        merges.append(Merge(i, j, d_ij, new_size))
-        children[next_id] = (i, j)
-        for k in [x for x in active if x not in (i, j)]:
-            d_new = (
-                size_i * dist[pair_key(i, k)] + size_j * dist[pair_key(j, k)]
-            ) / new_size
-            dist[pair_key(next_id, k)] = d_new
-        del active[i], active[j]
-        active[next_id] = (new_size, min(min_i, min_j))
-        next_id += 1
-
-    def leaves(cid: int) -> list[int]:
+    # Leaf order: the child holding the lower minimum leaf goes first.
+    order: list[int] = []
+    stack = [2 * n - 2]
+    while stack:
+        cid = stack.pop()
         if cid < n:
-            return [cid]
-        left, right = children[cid]
-        left_leaves = leaves(left)
-        right_leaves = leaves(right)
-        if min(left_leaves) <= min(right_leaves):
-            return left_leaves + right_leaves
-        return right_leaves + left_leaves
-
-    root = next_id - 1
-    return ClusterResult(tuple(merges), tuple(leaves(root)))
+            order.append(cid)
+        else:
+            stack += reversed(children[cid - n])
+    return ClusterResult(tuple(merges), tuple(order))

@@ -220,13 +220,27 @@ def similarity_matrix(
     radius: int = DEFAULT_RADIUS,
     nbits: int = DEFAULT_NBITS,
 ) -> np.ndarray:
-    """Symmetric pairwise Tanimoto matrix with a unit diagonal."""
+    """Symmetric pairwise Tanimoto matrix with a unit diagonal.
+
+    Folded fingerprints are packed into uint64 rows and counted a row block
+    at a time; each cell equals ``tanimoto`` of the pair exactly.
+    """
     fps = [make_fingerprint(m, kind, radius, nbits) for m in mols]
     n = len(fps)
     out = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = tanimoto(fps[i], fps[j])
-            out[i, j] = v
-            out[j, i] = v
+    if nbits == 0:
+        for i in range(n):
+            for j in range(i + 1, n):
+                out[i, j] = out[j, i] = tanimoto(fps[i], fps[j])
+        return out
+    width = -(-nbits // 64) * 8
+    packed = np.frombuffer(
+        b"".join(fp.bits.to_bytes(width, "little") for fp in fps), dtype="<u8"
+    ).reshape(n, width // 8)
+    counts = np.array([fp.popcount for fp in fps], dtype=np.int64)
+    for i in range(n - 1):
+        inter = np.bitwise_count(packed[i] & packed[i + 1:]).sum(axis=1, dtype=np.int64)
+        union = counts[i] + counts[i + 1:] - inter
+        row = np.divide(inter, union, out=np.ones(len(union)), where=union > 0)
+        out[i, i + 1:] = out[i + 1:, i] = row
     return out

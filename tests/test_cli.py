@@ -112,6 +112,31 @@ def test_similarity_matrix_and_order(tmp_path):
     assert sorted(order) == [0, 1, 2]
 
 
+def test_similarity_narrow_fingerprints_with_order(tmp_path):
+    smi = tmp_path / "mols.smi"
+    smi.write_text("c1ccccc1\nCc1ccccc1\nCCO\nOCC\nC\n")
+    matrix_path = tmp_path / "sim.csv"
+    order_path = tmp_path / "order.txt"
+    code, _out, _err = run_cli(
+        ["similarity", str(smi), "--nbits", "32", "-o", str(matrix_path),
+         "--order-out", str(order_path)]
+    )
+    assert code == 0
+    from ilkit.chem import parse_smiles
+    from ilkit.cluster import hierarchical_cluster
+    from ilkit.fingerprints import similarity_matrix
+
+    mols = [parse_smiles(s) for s in smi.read_text().split()]
+    want = similarity_matrix(mols, "ecfp", nbits=32)
+    with open(matrix_path) as fh:
+        rows = [[float(x) for x in row] for row in csv.reader(fh)]
+    assert rows == [[float(format(v, ".9g")) for v in row] for row in want]
+    assert rows[2][3] == 1.0
+    order = [int(x) for x in open(order_path).read().split()]
+    assert order == list(hierarchical_cluster(want).leaf_order)
+    assert sorted(order) == [0, 1, 2, 3, 4]
+
+
 def test_featurize_jsonl(tmp_path):
     records = _records_csv(
         tmp_path, [f"{EMIM},{TF2N},,,298.15,il_bulk_with_T,mass_density,1.5,x"]

@@ -139,10 +139,33 @@ def test_similarity_matrix_properties():
     assert m[2, 3] == 1.0
     for i in range(4):
         for j in range(4):
-            want = tanimoto(ecfp(mols[i]), ecfp(mols[j]))
-            assert m[i, j] == pytest.approx(want, abs=1e-12)
+            assert m[i, j] == tanimoto(ecfp(mols[i]), ecfp(mols[j]))
 
 
 def test_similarity_matrix_single_molecule():
     m = similarity_matrix([parse_smiles("CCO")])
     assert m.shape == (1, 1) and m[0, 0] == 1.0
+    for nbits in (0, 64, 2048):
+        assert similarity_matrix([parse_smiles("C")], "atom_pair", nbits=nbits).tolist() == [[1.0]]
+
+
+@pytest.mark.parametrize("nbits", [0, 8, 64, 512, 2048])
+@pytest.mark.parametrize("kind", ["ecfp", "atom_pair"])
+def test_matrix_equals_scalar_tanimoto_cell_by_cell(kind, nbits):
+    # Duplicates give 1.0 off the diagonal; single heavy atoms have empty
+    # atom-pair fingerprints, whose pairs among themselves are 1.0.
+    mols = corpus(seed=13, size=40)
+    mols += [parse_smiles(s) for s in ["C", "[Na+]", "O", "CCO", "OCC", "c1ccccc1"]]
+    m = similarity_matrix(mols, kind, nbits=nbits)
+    fps = [make_fingerprint(mol, kind, nbits=nbits) for mol in mols]
+    assert m.shape == (len(mols), len(mols)) and m.dtype == np.float64
+    for i in range(len(mols)):
+        assert m[i, i] == 1.0
+        for j in range(len(mols)):
+            if i != j:
+                assert m[i, j] == tanimoto(fps[i], fps[j]), (i, j)
+
+
+def test_similarity_matrix_of_no_molecules():
+    for nbits in (0, 64, 2048):
+        assert similarity_matrix([], nbits=nbits).shape == (0, 0)
