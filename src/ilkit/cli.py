@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .chem import canonicalize, parse_smiles
 from .cluster import hierarchical_cluster
 from .datasets import (
     CATEGORIES,
-    SystemRecord,
+    ROLE_ORDER,
     build_hydration_benchmark,
     generate_synthetic_systems,
     load_records,
@@ -94,43 +94,49 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _smiles_lines(path: str | None):
-    stream = open(path) if path else sys.stdin
-    try:
+def _smiles_lines(path: str | None, parse=str):
+    """Yield ``parse(smiles)`` for each structure line of a SMILES file (stdin
+    when no path); a domain error from ``parse`` names its line number."""
+    with open(path) if path else nullcontext(sys.stdin) as stream:
         for lineno, line in enumerate(stream, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
             # Allow "SMILES name" lines; only the first token is structure.
-            yield lineno, text.split()[0]
-    finally:
-        if path:
-            stream.close()
+            try:
+                value = parse(text.split()[0])
+            except IlkitError as exc:
+                raise type(exc)(f"line {lineno}: {exc}") from exc
+            yield value
 
 
-def _out_stream(path: str | None):
-    return open(path, "w") if path else sys.stdout
+def _output(path: str | None, default=None):
+    """Context manager for an output: the file at ``path`` (closed on exit),
+    else ``default`` or stdout (left open)."""
+    return open(path, "w") if path else nullcontext(default or sys.stdout)
 
 
 def _load_pool(path: str) -> list[str]:
-    return [smi for _ln, smi in _smiles_lines(path)]
+    return list(_smiles_lines(path))
 
 
-def _make_predictor(args) -> object:
-    if getattr(args, "model", None):
+@contextmanager
+def _predictor(args):
+    """The predictor chosen by --model, --lookup or --external, live for the block."""
+    if args.model:
         model = load_model(args.model)
-        return lambda record: predict(model, record)
-    if getattr(args, "lookup", None):
+        yield lambda record: predict(model, record)
+    elif args.lookup:
         with open(args.lookup) as fh:
-            obj = json.load(fh)
-        entries = {}
-        for e in obj["entries"]:
-            key = (e.get("cation"), e.get("anion"), e.get("solute"), e.get("solvent"))
-            entries[key] = float(e["value"])
-        return LookupPredictor(entries)
-    if getattr(args, "external", None):
-        return ExternalPredictor(args.external).start()
-    raise ConfigError("need one of --model, --lookup, or --external")
+            entries = json.load(fh)["entries"]
+        yield LookupPredictor(
+            {tuple(e.get(role) for role in ROLE_ORDER): float(e["value"]) for e in entries}
+        )
+    elif args.external:
+        with ExternalPredictor(args.external) as predictor:
+            yield predictor
+    else:
+        raise ConfigError("need one of --model, --lookup, or --external")
 
 
 def _search_config(args) -> SearchConfig:
@@ -139,7 +145,7 @@ def _search_config(args) -> SearchConfig:
         values.update(_read_config_file(args.config))
     for key in (
         "objective", "property", "beam_width", "iterations", "top_k",
-        "similarity_floor", "fingerprint", "radius", "nbits", "seed",
+        "similarity_floor", "fingerprint", "radius", "nbits",
     ):
         flag = getattr(args, key, None)
         if flag is not None:
@@ -180,17 +186,13 @@ def _make_trainer(args, property_name: str):
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
-def _write_candidates_jsonl(result, path: str | None) -> None:
-    out = _out_stream(path)
-    try:
+def _write_search(result, args) -> None:
+    """Candidates JSONL to -o (default stdout), the best-per-iteration table to
+    --trajectory-out (default stderr)."""
+    with _output(args.output) as out:
         for cand in result.ranked:
             obj = {
-                "roles": {
-                    "cation": cand.record.cation,
-                    "anion": cand.record.anion,
-                    "solute": cand.record.solute,
-                    "solvent": cand.record.solvent,
-                },
+                "roles": {role: getattr(cand.record, role) for role in ROLE_ORDER},
                 "value": cand.value,
                 "provenance": cand.provenance,
                 "iteration": cand.iteration,
@@ -198,93 +200,60 @@ def _write_candidates_jsonl(result, path: str | None) -> None:
             if cand.similarity is not None:
                 obj["similarity"] = cand.similarity
             out.write(json.dumps(obj) + "\n")
-    finally:
-        if path:
-            out.close()
-
-
-def _print_trajectory(result, stream=sys.stdout) -> None:
-    stream.write("iteration  best_value    roles\n")
-    for i, cand in enumerate(result.best_trace):
-        roles = ".".join(x for x in cand.roles_key() if x)
-        stream.write(f"{i:>9}  {cand.value:>10.4f}    {roles}\n")
+    with _output(args.trajectory_out, sys.stderr) as out:
+        out.write("iteration  best_value    roles\n")
+        for i, cand in enumerate(result.best_trace):
+            roles = ".".join(x for x in cand.roles_key() if x)
+            out.write(f"{i:>9}  {cand.value:>10.4f}    {roles}\n")
 
 
 # ---------------------------------------------------------------- commands
 
 
 def _cmd_canonicalize(args) -> int:
-    out = _out_stream(args.output)
-    try:
-        for lineno, smi in _smiles_lines(args.input):
-            try:
-                out.write(canonicalize(smi) + "\n")
-            except IlkitError as exc:
-                raise type(exc)(f"line {lineno}: {exc}") from exc
-    finally:
-        if args.output:
-            out.close()
+    with _output(args.output) as out:
+        for smiles in _smiles_lines(args.input, canonicalize):
+            out.write(smiles + "\n")
     return 0
 
 
 def _cmd_descriptors(args) -> int:
-    out = _out_stream(args.output)
-    try:
+    with _output(args.output) as out:
         writer = csv.writer(out)
         writer.writerow(DESCRIPTOR_NAMES)
-        for lineno, smi in _smiles_lines(args.input):
-            try:
-                vec = compute_descriptors(parse_smiles(smi))
-            except IlkitError as exc:
-                raise type(exc)(f"line {lineno}: {exc}") from exc
+        for vec in _smiles_lines(args.input, lambda s: compute_descriptors(parse_smiles(s))):
             writer.writerow([format(v, ".9g") for v in vec.as_list()])
-    finally:
-        if args.output:
-            out.close()
     return 0
 
 
 def _cmd_featurize(args) -> int:
     records = load_records(args.records)
-    out = _out_stream(args.output)
-    try:
+    with _output(args.output) as out:
         for rec in records:
             out.write(json.dumps(assemble_system(rec).to_json_dict()) + "\n")
-    finally:
-        if args.output:
-            out.close()
     return 0
 
 
 def _cmd_fingerprint(args) -> int:
-    out = _out_stream(args.output)
-    try:
-        for lineno, smi in _smiles_lines(args.input):
-            fp = make_fingerprint(parse_smiles(smi), args.kind, args.radius, args.nbits)
+    with _output(args.output) as out:
+        for mol in _smiles_lines(args.input, parse_smiles):
+            fp = make_fingerprint(mol, args.kind, args.radius, args.nbits)
             out.write(fp.to_hex() + "\n")
-    finally:
-        if args.output:
-            out.close()
     return 0
 
 
 def _cmd_similarity(args) -> int:
-    smiles = [smi for _ln, smi in _smiles_lines(args.input)]
-    mols = [parse_smiles(s) for s in smiles]
+    mols = list(_smiles_lines(args.input, parse_smiles))
     kinds = ["ecfp", "atom_pair"] if args.combine == "mean" else [args.kind]
     matrices = [
         similarity_matrix(mols, kind, args.radius, args.nbits)
         for kind in kinds
     ]
     matrix = np.mean(matrices, axis=0)
-    out = _out_stream(args.output)
-    try:
+    with _output(args.output) as out:
         writer = csv.writer(out)
         for row in matrix:
             writer.writerow([format(v, ".9g") for v in row])
-    finally:
-        if args.output:
-            out.close()
     if args.order_out:
         result = hierarchical_cluster(matrix)
         with open(args.order_out, "w") as fh:
@@ -296,13 +265,9 @@ def _cmd_similarity(args) -> int:
 def _cmd_split(args) -> int:
     records = load_records(args.records)
     plan = make_split(records, args.scheme, args.k, args.seed)
-    out = _out_stream(args.output)
-    try:
+    with _output(args.output) as out:
         json.dump(plan.to_json_dict(), out, indent=2)
         out.write("\n")
-    finally:
-        if args.output:
-            out.close()
     return 0
 
 
@@ -331,71 +296,44 @@ def _cmd_evaluate(args) -> int:
     )
     _kind, trainer = _make_trainer(args, args.property)
     report = cross_validate(records, plan, trainer, args.property)
-    out = _out_stream(args.output)
-    try:
+    with _output(args.output) as out:
         json.dump(report.to_json_dict(), out, indent=2)
         out.write("\n")
-    finally:
-        if args.output:
-            out.close()
     if args.row_out:
         with open(args.row_out, "w") as fh:
             fh.write(report.format_row() + "\n")
     return 0
 
 
-def _close_predictor(predictor) -> None:
-    if isinstance(predictor, ExternalPredictor):
-        predictor.close()
-
-
 def _cmd_search(args) -> int:
     records = load_records(args.records)
-    predictor = _make_predictor(args)
-    try:
+    with _predictor(args) as predictor:
         config = _search_config(args)
         seeds_result = top_k_seeds(records, predictor, config)
-        pools = {}
-        for role in ("cation", "anion", "solute", "solvent"):
-            path = getattr(args, f"{role}_pool")
-            if path:
-                pools[role] = _load_pool(path)
+        pools = {
+            role: _load_pool(getattr(args, f"{role}_pool"))
+            for role in ROLE_ORDER
+            if getattr(args, f"{role}_pool")
+        }
         if not pools:
             raise ConfigError("search needs at least one --<role>-pool file")
         result = beam_search([c.record for c in seeds_result.ranked], pools, predictor, config)
-    finally:
-        _close_predictor(predictor)
-    _write_candidates_jsonl(result, args.output)
-    if args.trajectory_out:
-        with open(args.trajectory_out, "w") as fh:
-            _print_trajectory(result, fh)
-    else:
-        _print_trajectory(result, sys.stderr)
+    _write_search(result, args)
     return 0
 
 
 def _cmd_modify(args, mutate_anion: bool) -> int:
-    predictor = _make_predictor(args)
-    try:
-        config = _search_config(args)
-        if mutate_anion:
-            result = modify_anion(
-                args.cation, args.seed_anion, _load_pool(args.pool), predictor,
-                solute=args.solute, budget=args.budget, config=config,
-            )
-        else:
-            result = modify_side_chain(
-                args.anion, args.seed_cation, _load_pool(args.pool), predictor,
-                solute=args.solute, budget=args.budget, config=config,
-            )
-    finally:
-        _close_predictor(predictor)
-    _write_candidates_jsonl(result, args.output)
-    if args.trajectory_out:
-        with open(args.trajectory_out, "w") as fh:
-            _print_trajectory(result, fh)
+    if mutate_anion:
+        modify, fixed, seed = modify_anion, args.cation, args.seed_anion
     else:
-        _print_trajectory(result, sys.stderr)
+        modify, fixed, seed = modify_side_chain, args.anion, args.seed_cation
+    with _predictor(args) as predictor:
+        config = _search_config(args)
+        result = modify(
+            fixed, seed, _load_pool(args.pool), predictor,
+            solute=args.solute, budget=args.budget, config=config,
+        )
+    _write_search(result, args)
     return 0
 
 
@@ -409,11 +347,11 @@ def _cmd_thermo(args) -> int:
 
 
 def _cmd_gen_synthetic(args) -> int:
-    pools = {}
-    for role in ("cations", "anions", "solutes", "solvents"):
-        path = getattr(args, role)
-        if path:
-            pools[role] = _load_pool(path)
+    pools = {
+        f"{role}s": _load_pool(getattr(args, f"{role}s"))
+        for role in ROLE_ORDER
+        if getattr(args, f"{role}s")
+    }
     categories = args.categories.split(",") if args.categories else list(CATEGORIES)
     records = generate_synthetic_systems(pools, args.n, args.seed, categories)
     save_records(records, args.output)
@@ -432,8 +370,7 @@ def _cmd_plot_data(args) -> int:
         with open(args.tables) as fh:
             tables = json.load(fh)
         ranks = rank_aggregate(tables)
-        out = _out_stream(args.output)
-        try:
+        with _output(args.output) as out:
             writer = csv.writer(out)
             datasets = sorted(ranks["per_dataset"])
             writer.writerow(["model", *datasets, "overall"])
@@ -442,9 +379,6 @@ def _cmd_plot_data(args) -> int:
                 row += [format(ranks["per_dataset"][ds][model], ".9g") for ds in datasets]
                 row.append(format(ranks["overall"][model], ".9g"))
                 writer.writerow(row)
-        finally:
-            if args.output:
-                out.close()
         return 0
     # histogram mode
     records = [r for r in load_records(args.records) if r.property == args.property]
@@ -452,15 +386,11 @@ def _cmd_plot_data(args) -> int:
         raise IlkitError(f"no records carry property {args.property!r}")
     values = np.asarray([r.value for r in records])
     counts, edges = np.histogram(values, bins=args.bins)
-    out = _out_stream(args.output)
-    try:
+    with _output(args.output) as out:
         writer = csv.writer(out)
         writer.writerow(["bin_left", "bin_right", "count"])
         for i, count in enumerate(counts):
             writer.writerow([format(edges[i], ".9g"), format(edges[i + 1], ".9g"), int(count)])
-    finally:
-        if args.output:
-            out.close()
     return 0
 
 
@@ -554,13 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--top-k", dest="top_k", type=int)
         p.add_argument("--similarity-floor", dest="similarity_floor", type=float)
         p.add_argument("--fingerprint", choices=["ecfp", "atom_pair"])
-        p.add_argument("--seed", type=int)
         p.add_argument("-o", "--output", help="candidates JSONL (default stdout)")
         p.add_argument("--trajectory-out", help="trajectory table path (default stderr)")
 
     p = sub.add_parser("search", help="Top-K seeded beam search over pools")
     p.add_argument("records", help="scored dataset supplying the seeds")
-    for role in ("cation", "anion", "solute", "solvent"):
+    for role in ROLE_ORDER:
         p.add_argument(f"--{role}-pool", dest=f"{role}_pool", help=f"{role} pool SMILES file")
     add_predictor_flags(p)
     p.set_defaults(func=_cmd_search)
@@ -595,10 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     po.set_defaults(func=_cmd_thermo)
 
     p = sub.add_parser("gen-synthetic", help="sample unlabeled synthetic systems")
-    p.add_argument("--cations", help="cation pool SMILES file")
-    p.add_argument("--anions", help="anion pool SMILES file")
-    p.add_argument("--solutes", help="solute pool SMILES file")
-    p.add_argument("--solvents", help="solvent pool SMILES file")
+    for role in ROLE_ORDER:
+        p.add_argument(f"--{role}s", help=f"{role} pool SMILES file")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--categories", help="comma-separated category subset")
@@ -628,10 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if os.environ.get("ILKIT_TMPDIR"):
-        import tempfile
-
-        tempfile.tempdir = os.environ["ILKIT_TMPDIR"]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -35,7 +35,7 @@ def hierarchical_cluster(matrix: np.ndarray) -> ClusterResult:
     sim = np.asarray(matrix, dtype=float)
     if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
         raise IlkitError("similarity matrix must be square")
-    if not np.allclose(sim, sim.T, atol=1e-12):
+    if not np.allclose(sim, sim.T, rtol=0, atol=1e-12):
         raise IlkitError("similarity matrix must be symmetric")
     if sim.size and (sim.min() < -1e-12 or sim.max() > 1 + 1e-12):
         raise IlkitError("similarity entries must lie in [0, 1]")

@@ -14,6 +14,7 @@ import json
 import select
 import shlex
 import subprocess
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -306,9 +307,9 @@ class ExternalPredictor:
 
     One request ``{"schema_version": 1, "record": {...}}`` per line on the
     child's stdin, one ``{"value": <float>}`` per line on its stdout, strictly
-    in order with a single request in flight. Calling the instance on a
-    record sends the next request; errors name its 0-based index among all
-    requests sent to this child.
+    in order with a single request in flight. The child lives for one
+    ``with`` block. Calling the instance on a record sends the next request;
+    errors name its 0-based index among all requests sent to this child.
     """
 
     def __init__(self, command: str | list[str], timeout: float = 10.0):
@@ -318,8 +319,7 @@ class ExternalPredictor:
         self._buffer = b""
         self._sent = 0
 
-    def start(self) -> "ExternalPredictor":
-        """Spawn the child; ``close`` ends it."""
+    def __enter__(self) -> "ExternalPredictor":
         try:
             self._proc = subprocess.Popen(
                 self.command,
@@ -331,31 +331,17 @@ class ExternalPredictor:
             raise ExternalPredictorError(f"cannot start predictor {self.command}: {exc}") from exc
         return self
 
-    def __enter__(self) -> "ExternalPredictor":
-        return self.start()
-
-    def __call__(self, record: SystemRecord) -> float:
-        index = self._sent
-        self._sent += 1
-        return self.predict_one(record, index)
-
     def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        if self._proc is not None:
-            for stream in (self._proc.stdin, self._proc.stdout):
-                try:
-                    stream.close()
-                except OSError:
-                    pass
-            self._proc.terminate()
-            self._proc.wait()
-            self._proc = None
+        for stream in (self._proc.stdin, self._proc.stdout):
+            try:
+                stream.close()
+            except OSError:
+                pass
+        self._proc.terminate()
+        self._proc.wait()
+        self._proc = None
 
     def _read_line(self, index: int) -> bytes:
-        import time
-
         deadline = time.monotonic() + self.timeout
         stdout = self._proc.stdout
         while b"\n" not in self._buffer:
@@ -377,9 +363,11 @@ class ExternalPredictor:
         line, self._buffer = self._buffer.split(b"\n", 1)
         return line
 
-    def predict_one(self, record: SystemRecord, index: int = 0) -> float:
+    def __call__(self, record: SystemRecord) -> float:
         if self._proc is None:
             raise ExternalPredictorError("predictor process is not running")
+        index = self._sent
+        self._sent += 1
         request = json.dumps(
             {"schema_version": PROTOCOL_SCHEMA_VERSION, "record": record.to_json_dict()}
         )
@@ -404,4 +392,4 @@ class ExternalPredictor:
 def external_predict(command: str | list[str], records, timeout: float = 10.0) -> list[float]:
     """Run the child-process protocol over all records, strictly in order."""
     with ExternalPredictor(command, timeout=timeout) as pred:
-        return [pred.predict_one(rec, i) for i, rec in enumerate(records)]
+        return [pred(rec) for rec in records]

@@ -48,7 +48,6 @@ class SearchConfig:
     fingerprint: str = "ecfp"
     radius: int = DEFAULT_RADIUS
     nbits: int = DEFAULT_NBITS
-    seed: int = 42
 
     def validate(self) -> None:
         if self.objective not in ("minimize", "maximize"):
@@ -239,9 +238,27 @@ def beam_search(
     return SearchResult(tuple(ranked), tuple(trace), iterations_run)
 
 
-def _modification_config(config: SearchConfig | None, budget: int) -> SearchConfig:
-    base = config or SearchConfig()
-    return replace(base, iterations=budget)
+def _modify(
+    role: str,
+    fixed_role: str,
+    fixed: str,
+    seed: str,
+    pool: Sequence[str],
+    predictor: Callable,
+    solute: str,
+    budget: int,
+    config: SearchConfig | None,
+    temperature: float,
+) -> SearchResult:
+    """Hold ``fixed_role`` at ``fixed`` and search ``role`` from ``seed`` over the pool."""
+    record = SystemRecord(
+        category="il_solute",
+        solute=solute,
+        temperature=temperature,
+        **{fixed_role: fixed, role: seed},
+    )
+    cfg = replace(config or SearchConfig(), iterations=budget)
+    return beam_search([record], {role: pool}, predictor, cfg)
 
 
 def modify_anion(
@@ -255,15 +272,10 @@ def modify_anion(
     temperature: float = STANDARD_TEMPERATURE,
 ) -> SearchResult:
     """Fix the cation, substitute candidate anions within the budget."""
-    cfg = _modification_config(config, budget)
-    seed = SystemRecord(
-        category="il_solute",
-        cation=cation,
-        anion=seed_anion,
-        solute=solute,
-        temperature=temperature,
+    return _modify(
+        "anion", "cation", cation, seed_anion, anion_pool,
+        predictor, solute, budget, config, temperature,
     )
-    return beam_search([seed], {"anion": anion_pool}, predictor, cfg)
 
 
 def modify_side_chain(
@@ -277,15 +289,10 @@ def modify_side_chain(
     temperature: float = STANDARD_TEMPERATURE,
 ) -> SearchResult:
     """Fix the anion, modify the cation within the budget."""
-    cfg = _modification_config(config, budget)
-    seed = SystemRecord(
-        category="il_solute",
-        cation=seed_cation,
-        anion=anion,
-        solute=solute,
-        temperature=temperature,
+    return _modify(
+        "cation", "anion", anion, seed_cation, cation_pool,
+        predictor, solute, budget, config, temperature,
     )
-    return beam_search([seed], {"cation": cation_pool}, predictor, cfg)
 
 
 class LookupPredictor:

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -93,6 +94,15 @@ def test_fingerprint_hex(tmp_path):
     code, out, _err = run_cli(["fingerprint", str(smi), "--nbits", "512"])
     assert code == 0
     assert len(out.strip()) == 512 // 4
+
+
+@pytest.mark.parametrize("command", ["canonicalize", "descriptors", "fingerprint", "similarity"])
+def test_bad_smiles_names_its_line(tmp_path, command):
+    smi = tmp_path / "mols.smi"
+    smi.write_text("CCO\nC1CC\nCC\n")
+    code, _out, err = run_cli([command, str(smi)])
+    assert code == 1
+    assert err == "error[smiles-syntax]: line 2: unclosed ring bond(s): 1\n"
 
 
 def test_similarity_matrix_and_order(tmp_path):
@@ -294,6 +304,51 @@ def test_modify_anion_cli(tmp_path):
     assert "iteration" in open(trail).read()
 
 
+def test_modify_cation_cli(tmp_path, ions):
+    cations = [smi for name, smi in ions.items() if name.endswith("_cation")]
+    values = {canonicalize(c): -0.25 * i for i, c in enumerate(cations)}
+    pool = tmp_path / "cations.smi"
+    pool.write_text("\n".join(cations) + "\n")
+    anion, solute = canonicalize(TF2N), canonicalize(CO2)
+    lookup = tmp_path / "lookup.json"
+    lookup.write_text(json.dumps({"entries": [
+        {"cation": c, "anion": anion, "solute": solute, "value": v} for c, v in values.items()
+    ]}))
+    out_path = tmp_path / "cands.jsonl"
+    trail = tmp_path / "trail.txt"
+    code, out, err = run_cli(
+        ["modify-cation", "--anion", TF2N, "--seed-cation", EMIM, "--pool", str(pool),
+         "--solute", CO2, "--budget", "3", "--lookup", str(lookup),
+         "-o", str(out_path), "--trajectory-out", str(trail)]
+    )
+    assert code == 0, err
+    assert out == "" and err == ""
+    rows = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert [r["value"] for r in rows] == sorted(values.values())
+    for row in rows:
+        assert row["roles"] == {
+            "cation": row["roles"]["cation"], "anion": anion, "solute": solute, "solvent": None,
+        }
+        assert row["value"] == values[row["roles"]["cation"]]
+    seed, = [r for r in rows if r["provenance"] == "seed"]
+    assert seed["roles"]["cation"] == canonicalize(EMIM)
+    assert seed["iteration"] == 0 and "similarity" not in seed
+    expanded = [r for r in rows if r["provenance"] == "expanded"]
+    assert {r["roles"]["cation"] for r in expanded} == set(values) - {canonicalize(EMIM)}
+    assert all(r["iteration"] == 1 and 0.0 <= r["similarity"] < 1.0 for r in expanded)
+    best = rows[0]
+    assert best["roles"]["cation"] == canonicalize("CCn1cc[nH+]c1")
+
+    def trace_row(i, row):
+        return f"{i:>9}  {row['value']:>10.4f}    {row['roles']['cation']}.{anion}.{solute}"
+
+    # Iteration 2 finds nothing new and stalls the beam.
+    assert trail.read_text().splitlines() == [
+        "iteration  best_value    roles",
+        trace_row(0, seed), trace_row(1, best), trace_row(2, best),
+    ]
+
+
 def test_plot_data_rank(tmp_path):
     tables = {
         "d1": {
@@ -457,7 +512,7 @@ for answered, line in enumerate(sys.stdin):
 """
 
 
-def _modify_anion_external(tmp_path, ions, limit):
+def _modify_anion_external(tmp_path, ions, limit, *extra):
     script = tmp_path / "child.py"
     script.write_text(_FAKE_CHILD)
     log = tmp_path / "pids.txt"
@@ -468,7 +523,8 @@ def _modify_anion_external(tmp_path, ions, limit):
     code, _out, err = run_cli(
         ["modify-anion", "--cation", EMIM, "--seed-anion", anions[0], "--pool", str(pool),
          "--solute", CO2, "--budget", "3", "--external", command,
-         "-o", str(tmp_path / "cands.jsonl"), "--trajectory-out", str(tmp_path / "trail.txt")]
+         "-o", str(tmp_path / "cands.jsonl"), "--trajectory-out", str(tmp_path / "trail.txt"),
+         *extra]
     )
     return code, err, log.read_text().split()
 
@@ -497,3 +553,12 @@ def test_external_predictor_that_cannot_start(tmp_path):
     )
     assert code == 1
     assert err.startswith("error[external-predictor]: cannot start predictor"), err
+
+
+def test_external_predictor_ended_after_domain_error(tmp_path, ions):
+    code, err, pids = _modify_anion_external(tmp_path, ions, -1, "--similarity-floor", "1.0")
+    assert code == 1
+    assert err.startswith("error[search]: no pool molecule reaches the similarity floor"), err
+    assert len(pids) == 1
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pids[0]), 0)
