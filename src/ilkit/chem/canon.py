@@ -2,9 +2,10 @@
 
 Ranking is iterative invariant refinement over (element, charge, degree,
 hydrogen count, aromatic flag, isotope, chirality presence). Remaining ties
-are broken by exploring every tied branch and keeping the lexicographically
-smallest emitted string, so the canonical form depends only on the labeled
-graph, never on input atom numbering.
+are broken by a depth-first search over tie-break choices that keeps the
+lexicographically smallest emitted string and skips branches a known
+automorphism maps onto an explored one, so the canonical form depends only
+on the labeled graph, never on input atom numbering.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ _BOND_CODE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 4}
 _ORDER_TOKEN = {SINGLE: "", DOUBLE: "=", TRIPLE: "#", AROMATIC: ""}
 _HYDROGEN_SENTINEL = -1
 
-# Guard against pathologically symmetric graphs blowing up tie exploration.
+# Guard against pathologically symmetric graphs blowing up tie exploration;
+# counts explored tie-tree branches.
 _MAX_RANKINGS = 20000
 
 
@@ -81,21 +83,99 @@ def _refine(ranks: list[int], bonds, adj) -> list[int]:
         ranks = new_ranks
 
 
-def _discrete_rankings(ranks: list[int], bonds, adj, budget: list[int]):
-    """Yield every fully-discrete ranking reachable by tie-break choices."""
-    cells: dict[int, list[int]] = {}
-    for i, r in enumerate(ranks):
-        cells.setdefault(r, []).append(i)
-    tied = sorted(r for r, members in cells.items() if len(members) > 1)
-    if not tied:
-        yield ranks
-        return
-    for chosen in cells[tied[0]]:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise IlkitError("molecule too symmetric for canonical tie-breaking")
-        keys = [(ranks[i], 0 if i == chosen else 1) for i in range(len(ranks))]
-        yield from _discrete_rankings(_refine(_dense_ranks(keys), bonds, adj), bonds, adj, budget)
+def _least_leaf(mol: Molecule, base: list[int]) -> tuple[str, tuple[int, ...]]:
+    """First leaf of the tie tree, in depth-first order, that emits the least string.
+
+    Walks the tree depth-first, individualizing each member of the lowest
+    tied cell in turn and refining. Two leaves that emit the same string
+    give an automorphism (the map between their emission orders). An
+    automorphism that fixes a node's path maps each child's subtree onto
+    another child's with the same leaf strings, so a child in the orbit of
+    an explored sibling is skipped, and a subtree found to be the image of
+    an explored sibling's is left at once. The first leaf reaching the least
+    string is never skipped, so the result is the one exhaustive exploration
+    would give.
+    """
+    bonds = mol.bonds
+    adj = _adjacency(mol.atoms, bonds)
+    n = len(base)
+    refs: list[tuple[str, tuple[int, ...]]] = []  # [first leaf, best leaf]
+    autos: list[list[int]] = []
+    path: list[int] = []  # atom individualized at each depth
+    explored: list[list[int]] = []  # children taken so far at each depth of the path
+    budget = _MAX_RANKINGS
+
+    def leaf(ranks: list[int]) -> int:
+        """Record a leaf; return the depth of the first redundant node on its path."""
+        s, order = _emit(mol, ranks, base)
+        if not refs:
+            refs.extend([(s, order), (s, order)])
+            return len(path)
+        for ref_s, ref_order in refs:
+            if s == ref_s:
+                g = [0] * n
+                for a, b in zip(ref_order, order):
+                    g[a] = b
+                autos.append(g)
+                for depth, chosen in enumerate(path):
+                    if any(g[e] == chosen for e in explored[depth][:-1]):
+                        return depth
+                    if g[chosen] != chosen:
+                        break
+                return len(path)
+        if s < refs[1][0]:
+            refs[1] = (s, order)
+        return len(path)
+
+    def visit(ranks: list[int]) -> int:
+        """Explore one node; return the depth to resume at (< own depth: back up)."""
+        nonlocal budget
+        cells: dict[int, list[int]] = {}
+        for i, r in enumerate(ranks):
+            cells.setdefault(r, []).append(i)
+        tied = [r for r, members in cells.items() if len(members) > 1]
+        if not tied:
+            return leaf(ranks)
+        depth = len(path)
+        cell = cells[min(tied)]
+        taken: list[int] = []
+        explored.append(taken)
+        uf: list[int] = []  # union-find over atoms: orbits of the path's stabilizer
+        seen = 0  # automorphisms already folded into uf
+        resume = depth
+
+        def find(i: int) -> int:
+            while uf[i] != i:
+                uf[i] = uf[uf[i]]
+                i = uf[i]
+            return i
+
+        for chosen in cell:
+            if taken and len(autos) > seen:
+                if not uf:
+                    uf.extend(range(n))
+                for g in autos[seen:]:
+                    if all(g[a] == a for a in path):
+                        for i in cell:
+                            uf[find(i)] = find(g[i])
+                seen = len(autos)
+            if uf and any(find(e) == find(chosen) for e in taken):
+                continue
+            budget -= 1
+            if budget < 0:
+                raise IlkitError("molecule too symmetric for canonical tie-breaking")
+            taken.append(chosen)
+            path.append(chosen)
+            keys = [(ranks[i], 0 if i == chosen else 1) for i in range(n)]
+            resume = visit(_refine(_dense_ranks(keys), bonds, adj))
+            path.pop()
+            if resume < depth:
+                break
+        explored.pop()
+        return min(resume, depth)
+
+    visit(base)
+    return refs[1]
 
 
 def canonical_form(mol: Molecule) -> tuple[str, tuple[int, ...]]:
@@ -109,15 +189,11 @@ def canonical_form(mol: Molecule) -> tuple[str, tuple[int, ...]]:
     for comp in mol.components():
         sub, back = _extract_component(mol, comp)
         base = refinement_ranks(sub.atoms, sub.bonds)
-        adj = _adjacency(sub.atoms, sub.bonds)
-        budget = [_MAX_RANKINGS]
-        best: tuple[str, tuple[int, ...]] | None = None
-        for ranking in _discrete_rankings(base, sub.bonds, adj, budget):
-            s, order = _emit(sub, ranking, base)
-            if best is None or s < best[0]:
-                best = (s, order)
-        assert best is not None
-        results.append((best[0], [back[i] for i in best[1]]))
+        if len(set(base)) == len(base):
+            s, order = _emit(sub, base, base)
+        else:
+            s, order = _least_leaf(sub, base)
+        results.append((s, [back[i] for i in order]))
     results.sort(key=lambda item: (item[0], item[1]))
     smiles = ".".join(s for s, _ in results)
     order = tuple(i for _, idxs in results for i in idxs)

@@ -111,7 +111,8 @@ def allowed_valences(element: str, charge: int) -> tuple[int, ...] | None:
     The charge shift follows the usual electron-counting conventions:
     N/P/As and O/S/Se/halogens shift by +charge (N+ -> 4, O- -> 1), while
     B/C/Si/H lose a bonding slot per unit of charge in either direction
-    (C+ -> 3, C- -> 3, B- -> 4).
+    (C+ -> 3, C- -> 3, B- -> 4). Anionic P and As may also reach 6, as in
+    the hexacoordinate anions PF6-, AsF6- and FAP-.
     """
     base = _VALENCES.get(element)
     if base is None:
@@ -125,6 +126,8 @@ def allowed_valences(element: str, charge: int) -> tuple[int, ...] | None:
     else:  # C, Si, H
         shifted = tuple(v - abs(charge) for v in base)
     shifted = tuple(v for v in shifted if v >= 0)
+    if charge == -1 and element in ("P", "As"):
+        shifted += (6,)
     return shifted if shifted else (0,)
 
 

@@ -181,7 +181,7 @@ def _make_trainer(args, property_name: str):
             lam = float(values.get("lambda", 1.0))
         return kind, lambda X, y: train_ridge(X, y, lam, property_name)
     if kind == "mlp":
-        cfg = _mlp_config(values, getattr(args, "seed", DEFAULT_SEED) or DEFAULT_SEED)
+        cfg = _mlp_config(values, getattr(args, "seed", DEFAULT_SEED))
         return kind, lambda X, y: train_mlp(X, y, cfg, property_name)
     raise ConfigError(f"unknown model kind {kind!r}")
 

@@ -341,6 +341,13 @@ class ExternalPredictor:
         self._proc.wait()
         self._proc = None
 
+    def _exit_code(self) -> int | None:
+        """The child's exit code, waiting briefly for a child that is exiting."""
+        try:
+            return self._proc.wait(timeout=1.0)
+        except subprocess.TimeoutExpired:
+            return None
+
     def _read_line(self, index: int) -> bytes:
         deadline = time.monotonic() + self.timeout
         stdout = self._proc.stdout
@@ -355,9 +362,9 @@ class ExternalPredictor:
                 continue
             chunk = stdout.read(65536)
             if not chunk:
-                code = self._proc.poll()
                 raise ExternalPredictorError(
-                    f"record {index}: predictor process closed stdout (exit code {code})"
+                    f"record {index}: predictor process closed stdout "
+                    f"(exit code {self._exit_code()})"
                 )
             self._buffer += chunk
         line, self._buffer = self._buffer.split(b"\n", 1)
@@ -375,9 +382,8 @@ class ExternalPredictor:
             self._proc.stdin.write(request.encode() + b"\n")
             self._proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
-            code = self._proc.poll()
             raise ExternalPredictorError(
-                f"record {index}: predictor process exited (code {code})"
+                f"record {index}: predictor process exited (code {self._exit_code()})"
             ) from exc
         line = self._read_line(index)
         try:

@@ -28,6 +28,29 @@ CURATED_SMILES = [
     "CC(=O)OCC", "O.CCO", "CCO.CCO", "c1ccc(O)cc1", "NCC(=O)O",
 ]
 
+# Highly symmetric molecules and ions: large automorphism groups exercise
+# the pruned tie-breaking of canonicalization.
+SYMMETRIC_PANEL = {
+    "NTf2": "O=S(=O)(C(F)(F)F)[N-]S(=O)(=O)C(F)(F)F",
+    "BETI": "O=S(=O)(C(F)(F)C(F)(F)F)[N-]S(=O)(=O)C(F)(F)C(F)(F)F",
+    "N8888": "CCCCCCCC[N+](CCCCCCCC)(CCCCCCCC)CCCCCCCC",
+    "P66614": "CCCCCCCCCCCCCC[P+](CCCCCC)(CCCCCC)CCCCCC",
+    "neopentane": "CC(C)(C)C",
+    "tetramethylbutane": "CC(C)(C)C(C)(C)C",
+    "cubane": "C12C3C4C1C5C2C3C45",
+    "adamantane": "C1C2CC3CC1CC(C2)C3",
+    "benzene": "c1ccccc1",
+    "SbF6": "F[Sb-](F)(F)(F)(F)F",
+    "hexahydroxyethane": "OC(O)(O)C(O)(O)O",
+}
+
+# Hexacoordinate anions of anionic P and As.
+HYPERVALENT_ANIONS = {
+    "PF6": "F[P-](F)(F)(F)(F)F",
+    "AsF6": "F[As-](F)(F)(F)(F)F",
+    "FAP": "FC(F)(F)C(F)(F)[P-](F)(F)(F)(C(F)(F)C(F)(F)F)C(F)(F)C(F)(F)F",
+}
+
 
 def random_molecule(rng: random.Random, max_heavy: int = 12):
     n = rng.randint(1, max_heavy)

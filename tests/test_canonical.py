@@ -2,9 +2,19 @@ import random
 
 import pytest
 
-from genmol import CURATED_SMILES, corpus
+from genmol import CURATED_SMILES, HYPERVALENT_ANIONS, SYMMETRIC_PANEL, corpus
 from ilkit.chem import canonicalize, parse_smiles, structural_match, write_smiles
+from ilkit.chem.canon import canonical_form
+from oracles.canon_oracle import oracle_canonical_form
 from oracles.iso import isomorphic
+
+TBU4 = "CC(C)(C)C(C(C)(C)C)(C(C)(C)C)C(C)(C)C"
+
+
+def _shuffled(mol, rng):
+    order = list(range(len(mol.atoms)))
+    rng.shuffle(order)
+    return parse_smiles(write_smiles(mol, order))
 
 
 def test_same_molecule_different_entry_order():
@@ -94,3 +104,82 @@ def test_charge_bookkeeping_named_ions(ion_molecules):
             assert mol.net_charge == -1, name
         else:
             assert mol.net_charge == 0, name
+
+
+def _assert_matches_oracle(mol):
+    assert canonical_form(mol) == oracle_canonical_form(mol), write_smiles(mol)
+
+
+def test_pruned_search_matches_exhaustive_on_curated_and_ions(ions):
+    for smiles in [*CURATED_SMILES, *ions.values()]:
+        _assert_matches_oracle(parse_smiles(smiles))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_pruned_search_matches_exhaustive_on_corpus(seed):
+    for mol in corpus(seed=seed, size=150, max_heavy=14):
+        _assert_matches_oracle(mol)
+
+
+# FAP- (seconds in the exhaustive search) is pinned below instead.
+_ORACLE_PANEL = {
+    **SYMMETRIC_PANEL, "PF6": HYPERVALENT_ANIONS["PF6"], "AsF6": HYPERVALENT_ANIONS["AsF6"]
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_PANEL))
+def test_pruned_search_matches_exhaustive_on_symmetric_panel(name):
+    mol = parse_smiles(_ORACLE_PANEL[name])
+    rng = random.Random(name)
+    _assert_matches_oracle(mol)
+    for _ in range(2):
+        _assert_matches_oracle(_shuffled(mol, rng))
+
+
+# Stereo marks on symmetric centres (a swap of two equal neighbours flips a
+# written @/@@) and equal arms with different cis/trans bonds: only some
+# graph automorphisms keep the string, and pruning with the wrong ones, or
+# leaving more of the tree than an automorphism proves redundant, changes
+# the result.
+_STEREO_SYMMETRIC = [
+    "Cl[C@](Cl)(Cl)C(C)(C)[C@@](Cl)(Cl)Cl",
+    "F[C@](F)(F)[C@@](F)(F)F",
+    "O[C@](O)(O)[C@@](O)(O)O",
+    "C[C@@](C)(C)[C@](C)(C)C",
+    "O1C(C)(Cl)C([C@](Cl)(Cl)Cl)(N(C)C1)[C@H](C)C",
+    "C[N+](C)(C)[C@](C)(C)[N+](C)(C)C",
+    "C/C=C\\C(/C=C/C)(/C=C\\C)/C=C/C",
+]
+
+
+@pytest.mark.parametrize("smiles", _STEREO_SYMMETRIC)
+def test_pruned_search_matches_exhaustive_on_stereo_symmetric(smiles):
+    mol = parse_smiles(smiles)
+    rng = random.Random(smiles)
+    for _ in range(12):
+        _assert_matches_oracle(_shuffled(mol, rng))
+
+
+# The exhaustive search takes seconds on these, so their canonical strings
+# are pinned instead; it gives the same strings.
+_PINNED = {
+    TBU4: TBU4,
+    HYPERVALENT_ANIONS["FAP"]: "C(C(F)(F)[P-](C(C(F)(F)F)(F)F)(C(C(F)(F)F)(F)F)(F)(F)F)(F)(F)F",
+}
+
+
+@pytest.mark.parametrize("source", sorted(_PINNED))
+def test_pinned_symmetric_canonical_strings(source):
+    canonical = _PINNED[source]
+    assert canonicalize(source) == canonical
+    assert canonicalize(canonical) == canonical
+    mol = parse_smiles(source)
+    rng = random.Random(source)
+    for _ in range(5):
+        assert _shuffled(mol, rng).canonical_smiles == canonical
+
+
+@pytest.mark.parametrize("name", sorted(HYPERVALENT_ANIONS))
+def test_hypervalent_anions_canonicalize(name):
+    canonical = canonicalize(HYPERVALENT_ANIONS[name])
+    assert canonicalize(canonical) == canonical

@@ -453,6 +453,22 @@ def test_train_mlp_with_config_file(tmp_path):
     assert len(open(trace_path).read().splitlines()) == 4  # initial + 3 epochs
 
 
+def test_train_mlp_seed_zero_is_its_own_seed(tmp_path):
+    records = _records_csv(tmp_path, _bulk_rows(20))
+    config = tmp_path / "mlp.cfg"
+    config.write_text("schema_version = 1\nhidden = 4\nbatch_size = 8\nepochs = 2\n")
+    models = {}
+    for seed in ("0", "42"):
+        path = tmp_path / f"mlp-{seed}.json"
+        code, _out, err = run_cli(
+            ["train", records, "--property", "mass_density", "--model", "mlp",
+             "--config", str(config), "--seed", seed, "-o", str(path)]
+        )
+        assert code == 0, err
+        models[seed] = path.read_text()
+    assert models["0"] != models["42"]
+
+
 def test_config_file_requires_schema_version(tmp_path):
     records = _records_csv(tmp_path, _bulk_rows(20))
     config = tmp_path / "bad.cfg"
@@ -541,7 +557,9 @@ def test_external_predictor_exit_mid_search_names_request(tmp_path, ions):
     code, err, pids = _modify_anion_external(tmp_path, ions, limit=3)
     assert code == 1
     assert len(pids) == 1
-    assert err.startswith("error[external-predictor]: record 3:"), err
+    assert err == (
+        "error[external-predictor]: record 3: predictor process closed stdout (exit code 0)\n"
+    )
 
 
 def test_external_predictor_that_cannot_start(tmp_path):

@@ -1,6 +1,8 @@
 import pytest
 
+from genmol import HYPERVALENT_ANIONS
 from ilkit.chem import parse_smiles
+from ilkit.chem.elements import allowed_valences
 from ilkit.chem.mol import AROMATIC, DOUBLE, SINGLE, TRIPLE
 from ilkit.errors import AromaticityError, SmilesSyntaxError, ValenceError
 
@@ -60,6 +62,31 @@ def test_texas_nitrogen_rejected():
     with pytest.raises(ValenceError):
         parse_smiles("CN(=O)=O")
     parse_smiles("C[N+](=O)[O-]")
+
+
+@pytest.mark.parametrize("name", sorted(HYPERVALENT_ANIONS))
+def test_hexacoordinate_anions_parse(name):
+    mol = parse_smiles(HYPERVALENT_ANIONS[name])
+    assert mol.net_charge == -1
+    (center,) = [i for i, a in enumerate(mol.atoms) if a.formal_charge == -1]
+    assert mol.atoms[center].element in ("P", "As")
+    assert mol.degree(center) == 6
+    assert mol.atoms[center].total_h == 0
+
+
+def test_hexacoordinate_valence_only_for_anionic_p_and_as():
+    assert allowed_valences("P", -1) == (2, 4, 6)
+    assert allowed_valences("As", -1) == (2, 4, 6)
+    assert allowed_valences("P", 0) == (3, 5)
+    assert allowed_valences("P", -2) == (1, 3)
+    assert allowed_valences("N", -1) == (2,)
+    assert allowed_valences("S", -1) == (1, 3, 5)
+    with pytest.raises(ValenceError):
+        parse_smiles("FP(F)(F)(F)(F)F")
+    with pytest.raises(ValenceError):
+        parse_smiles("F[P-](F)(F)(F)(F)(F)F")
+    with pytest.raises(ValenceError):
+        parse_smiles("F[N-](F)(F)(F)(F)F")
 
 
 def test_bracket_atom_fields():
