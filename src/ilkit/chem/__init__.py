@@ -17,11 +17,6 @@ from .mol import (
 from .parser import parse_smiles
 
 
-def perceive_rings(mol: Molecule) -> tuple[tuple[int, ...], ...]:
-    """Smallest set of smallest rings, as atom-index cycles."""
-    return mol.rings
-
-
 __all__ = [
     "Atom",
     "Bond",
@@ -30,7 +25,6 @@ __all__ = [
     "write_smiles",
     "canonicalize",
     "structural_match",
-    "perceive_rings",
     "from_graph",
     "SINGLE",
     "DOUBLE",

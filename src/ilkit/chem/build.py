@@ -6,10 +6,8 @@ from dataclasses import replace
 from typing import Iterable, Sequence
 
 from ..errors import IlkitError
-from .mol import DOUBLE, Molecule, SINGLE
+from .mol import DOUBLE, HYDROGEN_SENTINEL, Molecule, SINGLE
 from .parser import _RawAtom, finalize
-
-_HYDROGEN_SENTINEL = -1
 
 
 def from_graph(atoms: Iterable[dict], bonds: Iterable[Sequence]) -> Molecule:
@@ -66,7 +64,7 @@ def from_graph(atoms: Iterable[dict], bonds: Iterable[Sequence]) -> Molecule:
     seqs: dict[int, list] = {}
     for i, raw in enumerate(raw_atoms):
         if raw.chirality:
-            seq: list = [_HYDROGEN_SENTINEL] if raw.explicit_h else []
+            seq: list = [HYDROGEN_SENTINEL] if raw.explicit_h else []
             seq.extend(sorted(neighbors.get(i, [])))
             seqs[i] = seq
 

@@ -15,10 +15,12 @@ from . import table
 from .elements import AROMATIC_ELEMENTS, ORGANIC_SUBSET, atomic_number, implied_hydrogens
 from .mol import (
     AROMATIC,
+    BOND_CODE,
     BOND_ORDER_VALUE,
     CHI_CCW,
     CHI_CW,
     DOUBLE,
+    HYDROGEN_SENTINEL,
     SINGLE,
     STEREO_CIS,
     STEREO_NONE,
@@ -28,9 +30,7 @@ from .mol import (
 )
 from .parser import parse_smiles
 
-_BOND_CODE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 4}
 _ORDER_TOKEN = {SINGLE: "", DOUBLE: "=", TRIPLE: "#", AROMATIC: ""}
-_HYDROGEN_SENTINEL = -1
 
 # Guard against pathologically symmetric graphs blowing up tie exploration;
 # counts explored tie-tree branches.
@@ -73,7 +73,7 @@ def _refine(ranks: list[int], bonds, adj) -> list[int]:
         keys = [
             (
                 ranks[i],
-                tuple(sorted((_BOND_CODE[bonds[bi].order], ranks[j]) for j, bi in adj[i])),
+                tuple(sorted((BOND_CODE[bonds[bi].order], ranks[j]) for j, bi in adj[i])),
             )
             for i in range(len(ranks))
         ]
@@ -216,7 +216,7 @@ def _extract_component(mol: Molecule, comp: list[int]) -> tuple[Molecule, list[i
         seq = mol.chiral_neighbor_order(old)
         if seq is not None:
             chiral[remap[old]] = tuple(
-                x if x == _HYDROGEN_SENTINEL else remap[x] for x in seq
+                x if x == HYDROGEN_SENTINEL else remap[x] for x in seq
             )
     return Molecule(atoms, bonds, rings, chiral), comp
 
@@ -306,7 +306,7 @@ def _emit(mol: Molecule, priority: list[int], refine_ranks: list[int]) -> tuple[
         if parent[u] is not None:
             emit_seq.append(parent[u])
         if mol.atoms[u].chirality and mol.atoms[u].total_h == 1:
-            emit_seq.append(_HYDROGEN_SENTINEL)
+            emit_seq.append(HYDROGEN_SENTINEL)
         emit_seq.extend(v for v, _bi in closures)
         emit_seq.extend(v for v, _bi in openings)
         emit_seq.extend(v for v, _bi in children[u])

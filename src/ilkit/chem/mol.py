@@ -18,6 +18,11 @@ TRIPLE = "triple"
 AROMATIC = "aromatic"
 
 BOND_ORDER_VALUE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 1}
+# Bond-order codes hashed into canonical ranks and circular fingerprints.
+BOND_CODE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 4}
+
+# Stands for an implicit hydrogen in a chiral atom's neighbour sequence.
+HYDROGEN_SENTINEL = -1
 
 STEREO_NONE = "none"
 STEREO_CIS = "cis"
@@ -115,12 +120,6 @@ class Molecule:
     def neighbor_atoms(self, idx: int) -> tuple[int, ...]:
         return tuple(n for n, _ in self._adj[idx])
 
-    def bond_between(self, i: int, j: int) -> Bond | None:
-        for n, bi in self._adj[i]:
-            if n == j:
-                return self.bonds[bi]
-        return None
-
     def degree(self, idx: int) -> int:
         return len(self._adj[idx])
 
@@ -146,9 +145,6 @@ class Molecule:
                         stack.append(v)
             out.append(sorted(comp))
         return out
-
-    def cyclomatic_number(self) -> int:
-        return len(self.bonds) - len(self.atoms) + len(self.components())
 
     def chiral_neighbor_order(self, idx: int) -> tuple[int, ...] | None:
         return self._chiral_order.get(idx)

@@ -27,6 +27,7 @@ from .mol import (
     BOND_ORDER_VALUE,
     CHI_NONE,
     DOUBLE,
+    HYDROGEN_SENTINEL,
     SINGLE,
     STEREO_CIS,
     STEREO_NONE,
@@ -51,8 +52,6 @@ _BOND_SYMBOLS = {
     "/": (SINGLE, 1),
     "\\": (SINGLE, -1),
 }
-
-_HYDROGEN_SENTINEL = -1
 
 
 class _RawAtom:
@@ -161,7 +160,7 @@ def parse_smiles(text: str) -> Molecule:
         elif pending is not None:
             raise SmilesSyntaxError("bond symbol with no preceding atom", pending_pos)
         if raw.chirality and raw.explicit_h:
-            seqs[idx].append(_HYDROGEN_SENTINEL)
+            seqs[idx].append(HYDROGEN_SENTINEL)
         prev = idx
         pending = None
 
@@ -293,8 +292,8 @@ def finalize(raw_atoms: list[_RawAtom], raw_bonds: list[list], seqs: dict[int, l
         )
 
     bond_pairs = [(b[0], b[1]) for b in raw_bonds]
-    rings = sssr(n, bond_pairs)
     ring_flags = ring_bond_flags(n, bond_pairs)
+    rings = sssr(n, bond_pairs, ring_flags)
 
     bonds = [
         Bond(a=a, b=b, order=order, stereo=STEREO_NONE, in_ring=flag)

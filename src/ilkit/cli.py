@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 from contextlib import contextmanager, nullcontext
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -157,17 +158,13 @@ def _search_config(args) -> SearchConfig:
 
 
 def _mlp_config(values: dict, seed: int) -> MLPConfig:
-    hidden = values.get("hidden", (128, 64))
-    if isinstance(hidden, int):
-        hidden = (hidden,)
-    return MLPConfig(
-        hidden=tuple(hidden),
-        activation=str(values.get("activation", "tanh")),
-        learning_rate=float(values.get("learning_rate", 1e-3)),
-        batch_size=int(values.get("batch_size", 32)),
-        epochs=int(values.get("epochs", 200)),
-        seed=int(values.get("seed", seed)),
-    )
+    """``MLPConfig`` defaults with ``seed``, overridden by the config file's
+    keys, each cast to its default's type."""
+    cfg = MLPConfig(seed=seed)
+    given = {k: v for k, v in values.items() if k in MLPConfig.__dataclass_fields__}
+    if isinstance(given.get("hidden"), int):
+        given["hidden"] = (given["hidden"],)
+    return replace(cfg, **{k: type(getattr(cfg, k))(v) for k, v in given.items()})
 
 
 def _make_trainer(args, property_name: str):

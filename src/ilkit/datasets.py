@@ -4,8 +4,9 @@ pseudo-labels, and the virtual hydration benchmark.
 CSV column order is frozen as
 ``cation,anion,solute,solvent,temperature_K,category,property,value,source_id``
 with empty strings for absent fields; the JSONL mirror uses the same keys
-plus ``schema_version``. All SMILES are canonicalized on ingest and floats
-are serialized with 9 significant digits.
+plus ``schema_version``. All SMILES are canonicalized on ingest. CSV writes
+floats with 9 significant digits; JSONL writes them as ``json.dumps`` does
+(shortest round-trip repr).
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
+import numbers
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -120,6 +123,13 @@ def validate_record(rec: SystemRecord, where: str = "record") -> SystemRecord:
         if rec.value is None:
             raise RecordError(f"{where}: property {rec.property} given without a value")
 
+    for name in ("temperature", "value"):
+        x = getattr(rec, name)
+        if x is not None and (
+            isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x)
+        ):
+            raise RecordError(f"{where}: {name} must be a finite number, got {x!r}")
+
     needs_temperature = rec.category not in ("il_bulk_no_T",) and rec.property != "melting_point"
     if needs_temperature:
         if rec.temperature is None:
@@ -131,6 +141,15 @@ def validate_record(rec: SystemRecord, where: str = "record") -> SystemRecord:
             f"{where}: temperature must be absent for category il_bulk_no_T / melting point"
         )
     return replace(rec, **roles)
+
+
+def _csv_number(cell: str, where: str) -> float | None:
+    if not cell:
+        return None
+    try:
+        return float(cell)
+    except ValueError:
+        raise SchemaError(f"{where}: {cell!r} is not a number") from None
 
 
 def _format_float(x: float) -> str:
@@ -184,25 +203,31 @@ def load_records(path: str | Path, fmt: str | None = None) -> list[SystemRecord]
                     continue
                 if len(row) != len(CSV_COLUMNS):
                     raise SchemaError(f"{path}: row {lineno} has {len(row)} fields")
+                where = f"{path}:{lineno}"
                 rec = SystemRecord(
                     cation=row[0] or None,
                     anion=row[1] or None,
                     solute=row[2] or None,
                     solvent=row[3] or None,
-                    temperature=float(row[4]) if row[4] else None,
+                    temperature=_csv_number(row[4], where),
                     category=row[5],
                     property=row[6] or None,
-                    value=float(row[7]) if row[7] else None,
+                    value=_csv_number(row[7], where),
                     source_id=row[8],
                 )
-                raw.append((f"{path}:{lineno}", rec))
+                raw.append((where, rec))
     elif fmt == "jsonl":
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                obj = json.loads(line)
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+                if not isinstance(obj, dict):
+                    raise SchemaError(f"{path}:{lineno}: expected a JSON object")
                 version = obj.get("schema_version", SCHEMA_VERSION)
                 if version != SCHEMA_VERSION:
                     raise SchemaError(f"{path}:{lineno}: schema_version {version} unsupported")

@@ -18,31 +18,6 @@ from .crippen import crippen_atom_types, crippen_logp_mr
 from .topology import balaban_j, bertz_ct, kappa_indices
 from .tpsa import tpsa
 
-DESCRIPTOR_NAMES = (
-    "hbd",
-    "hba",
-    "rotatable_bonds",
-    "tpsa",
-    "stereocenters",
-    "logp",
-    "molar_refractivity",
-    "frac_csp3",
-    "ring_count",
-    "heterocycles",
-    "aromatic_rings",
-    "aromatic_heterocycles",
-    "spiro_atoms",
-    "mol_weight",
-    "heteroatoms",
-    "heavy_atoms",
-    "kappa1",
-    "kappa2",
-    "kappa3",
-    "balaban_j",
-    "bertz_ct",
-)
-
-
 @dataclass(frozen=True)
 class DescriptorVector:
     hbd: int
@@ -71,7 +46,7 @@ class DescriptorVector:
         return [float(getattr(self, name)) for name in DESCRIPTOR_NAMES]
 
 
-assert tuple(f.name for f in fields(DescriptorVector)) == DESCRIPTOR_NAMES
+DESCRIPTOR_NAMES = tuple(f.name for f in fields(DescriptorVector))
 
 
 def _is_sp3_carbon(mol: Molecule, idx: int) -> bool:

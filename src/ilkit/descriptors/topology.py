@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from ..chem.mol import AROMATIC, BOND_ORDER_VALUE, DOUBLE, Molecule, SINGLE, TRIPLE
+from ..chem.mol import AROMATIC, DOUBLE, Molecule, SINGLE, TRIPLE
 
 _BERTZ_ORDER_VALUE = {SINGLE: 1.0, DOUBLE: 2.0, TRIPLE: 3.0, AROMATIC: 1.5}
 
@@ -20,6 +20,29 @@ def _heavy_skeleton(mol: Molecule) -> tuple[list[int], list[tuple[int, int, str]
         if b.a in index and b.b in index
     ]
     return heavy, edges
+
+
+def heavy_distances(
+    mol: Molecule,
+) -> tuple[list[int], list[tuple[int, int, str]], list[list[int]]]:
+    """Heavy atoms, the heavy-heavy bonds re-indexed over them, and the bond
+    count of a shortest path between every pair of heavy atoms (-1 where no
+    path joins them)."""
+    heavy, edges = _heavy_skeleton(mol)
+    adj = _adjacency(len(heavy), edges)
+    dist = []
+    for start in range(len(heavy)):
+        row = [-1] * len(heavy)
+        row[start] = 0
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if row[v] < 0:
+                    row[v] = row[u] + 1
+                    queue.append(v)
+        dist.append(row)
+    return heavy, edges, dist
 
 
 def _adjacency(n: int, edges: list[tuple[int, int, str]]) -> list[list[int]]:
@@ -62,49 +85,19 @@ def kappa_indices(mol: Molecule) -> tuple[float, float, float]:
 
 def balaban_j(mol: Molecule) -> float:
     """Balaban distance-connectivity index, summed over connected components."""
-    heavy, edges = _heavy_skeleton(mol)
-    n = len(heavy)
-    if n == 0:
-        return 0.0
-    adj = _adjacency(n, edges)
-
-    comp_id = [-1] * n
-    comps: list[list[int]] = []
-    for start in range(n):
-        if comp_id[start] != -1:
-            continue
-        comp = [start]
-        comp_id[start] = len(comps)
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if comp_id[v] == -1:
-                    comp_id[v] = len(comps)
-                    comp.append(v)
-                    queue.append(v)
-        comps.append(comp)
-
-    dist_sum = [0] * n
-    for start in range(n):
-        seen = {start: 0}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in seen:
-                    seen[v] = seen[u] + 1
-                    queue.append(v)
-        dist_sum[start] = sum(seen.values())
+    _heavy, edges, dist = heavy_distances(mol)
+    dist_sum = [sum(d for d in row if d > 0) for row in dist]
+    # Each component is keyed by its lowest atom index, the first its rows reach.
+    root = [next(j for j, d in enumerate(row) if d >= 0) for row in dist]
+    comp_edges: dict[int, list[tuple[int, int]]] = {}
+    for a, b, _o in edges:
+        comp_edges.setdefault(root[a], []).append((a, b))
 
     total = 0.0
-    for ci, comp in enumerate(comps):
-        comp_edges = [(a, b) for a, b, _o in edges if comp_id[a] == ci]
-        m = len(comp_edges)
-        if m == 0:
-            continue
-        mu = m - len(comp) + 1
-        acc = sum(1.0 / math.sqrt(dist_sum[a] * dist_sum[b]) for a, b in comp_edges)
+    for r in sorted(comp_edges):
+        m = len(comp_edges[r])
+        mu = m - root.count(r) + 1
+        acc = sum(1.0 / math.sqrt(dist_sum[a] * dist_sum[b]) for a, b in comp_edges[r])
         total += m / (mu + 1.0) * acc
     return total
 

@@ -8,16 +8,17 @@ as a collision-free reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .chem.elements import atomic_number
-from .chem.mol import AROMATIC, BOND_ORDER_VALUE, DOUBLE, Molecule, SINGLE, TRIPLE
+from .chem.mol import AROMATIC, BOND_CODE, DOUBLE, Molecule, SINGLE, TRIPLE
+from .descriptors.topology import heavy_distances
 from .errors import IlkitError
 from .stablehash import combine
 
-_BOND_CODE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 4}
+_PI_BONDS = {SINGLE: 0, DOUBLE: 1, TRIPLE: 2, AROMATIC: 1}
 DEFAULT_NBITS = 2048
 DEFAULT_RADIUS = 2
 _DISTANCE_CAP = 30
@@ -96,7 +97,7 @@ def ecfp_identifiers(mol: Molecule, radius: int = DEFAULT_RADIUS) -> set[int]:
         new_cov = []
         for i in range(len(mol.atoms)):
             nbrs = sorted(
-                (_BOND_CODE[mol.bonds[bi].order], current[j])
+                (BOND_CODE[mol.bonds[bi].order], current[j])
                 for j, bi in mol.neighbors(i)
             )
             ident = combine(
@@ -130,54 +131,27 @@ def ecfp(mol: Molecule, radius: int = DEFAULT_RADIUS, nbits: int = DEFAULT_NBITS
 
 def atom_pair_identifiers(mol: Molecule) -> set[int]:
     """Unfolded atom-pair identifiers (typed atom pairs + capped distance)."""
-    heavy = [i for i, a in enumerate(mol.atoms) if a.element != "H"]
-    types: dict[int, int] = {}
-    for i in heavy:
-        pi_bonds = 0
-        heavy_deg = 0
-        for j, bi in mol.neighbors(i):
-            if mol.atoms[j].element == "H":
-                continue
-            heavy_deg += 1
-            order = mol.bonds[bi].order
-            if order == DOUBLE:
-                pi_bonds += 1
-            elif order == TRIPLE:
-                pi_bonds += 2
-            elif order == AROMATIC:
-                pi_bonds += 1
-        types[i] = combine((atomic_number(mol.atoms[i].element), heavy_deg, pi_bonds))
+    heavy, edges, dist = heavy_distances(mol)
+    heavy_deg = [0] * len(heavy)
+    pi_bonds = [0] * len(heavy)
+    for a, b, order in edges:
+        for i in (a, b):
+            heavy_deg[i] += 1
+            pi_bonds[i] += _PI_BONDS[order]
+    types = [
+        combine((atomic_number(mol.atoms[i].element), heavy_deg[k], pi_bonds[k]))
+        for k, i in enumerate(heavy)
+    ]
 
     ids: set[int] = set()
-    dist = _topological_distances(mol, heavy)
-    for ai in range(len(heavy)):
-        for bj in range(ai + 1, len(heavy)):
-            d = dist.get((heavy[ai], heavy[bj]))
-            if d is None:
+    for a in range(len(heavy)):
+        for b in range(a + 1, len(heavy)):
+            d = dist[a][b]
+            if d < 0:
                 continue
-            t1, t2 = sorted((types[heavy[ai]], types[heavy[bj]]))
+            t1, t2 = sorted((types[a], types[b]))
             ids.add(combine((t1, t2, min(d, _DISTANCE_CAP))))
     return ids
-
-
-def _topological_distances(mol: Molecule, heavy: list[int]) -> dict[tuple[int, int], int]:
-    from collections import deque
-
-    heavy_set = set(heavy)
-    out: dict[tuple[int, int], int] = {}
-    for start in heavy:
-        seen = {start: 0}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v, _bi in mol.neighbors(u):
-                if v in heavy_set and v not in seen:
-                    seen[v] = seen[u] + 1
-                    queue.append(v)
-        for target, d in seen.items():
-            if start < target:
-                out[(start, target)] = d
-    return out
 
 
 def atom_pair(mol: Molecule, nbits: int = DEFAULT_NBITS) -> Fingerprint:

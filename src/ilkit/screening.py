@@ -307,10 +307,6 @@ class LookupPredictor:
         for key, value in items:
             self._table[tuple(canonicalize(s) if s else None for s in key)] = float(value)
 
-    @staticmethod
-    def from_records(records: Sequence[SystemRecord]) -> "LookupPredictor":
-        return LookupPredictor({r.roles_key(): r.value for r in records if r.value is not None})
-
     def __call__(self, record: SystemRecord) -> float:
         key = record.roles_key()
         if key not in self._table:

@@ -28,3 +28,16 @@ def ions() -> dict[str, str]:
 @pytest.fixture(scope="session")
 def ion_molecules(ions):
     return {name: parse_smiles(smiles) for name, smiles in ions.items()}
+
+
+@pytest.fixture(scope="session")
+def equality_panel():
+    """Molecules on which rewritten graph routines must equal their oracles:
+    random corpora, the curated and symmetric panels, the ion fixture, and a
+    multi-fragment molecule with bracket hydrogens."""
+    from genmol import CURATED_SMILES, SYMMETRIC_PANEL, corpus
+
+    mols = [m for seed in range(4) for m in corpus(seed=seed, size=250, max_heavy=24)]
+    smiles = [*CURATED_SMILES, *SYMMETRIC_PANEL.values(), *load_ions().values()]
+    mols += [parse_smiles(s) for s in smiles + ["CCC.CC.[H][H].C1CC1.C"]]
+    return mols

@@ -428,6 +428,38 @@ def test_search_cli_with_config_file(tmp_path):
     assert best["value"] == pytest.approx(-1.7204)
 
 
+def test_bad_record_number_is_a_schema_error_without_traceback(tmp_path):
+    records = _records_csv(tmp_path, [f"{EMIM},{TF2N},{CO2},,abc,il_solute,solvation_dg,-1.0,x"])
+    proc = subprocess.run(
+        [sys.executable, "-m", "ilkit.cli", "split", records, "--scheme", "cation"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error[schema]: "), proc.stderr
+    assert f"{records}:2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_train_mlp_defaults_match_mlp_config(tmp_path):
+    import numpy as np
+    from ilkit.datasets import load_records
+    from ilkit.predictor import MLPConfig, featurize_records, save_model, train_mlp
+
+    records_path = _records_csv(tmp_path, _bulk_rows(32))
+    cli_path = tmp_path / "cli.json"
+    code, _out, err = run_cli(
+        ["train", records_path, "--property", "mass_density", "--model", "mlp",
+         "-o", str(cli_path)]
+    )
+    assert code == 0, err
+    records = load_records(records_path)
+    X = featurize_records(records)
+    y = np.asarray([r.value for r in records])
+    direct_path = tmp_path / "direct.json"
+    save_model(train_mlp(X, y, MLPConfig(seed=42), "mass_density"), str(direct_path))
+    assert cli_path.read_text() == direct_path.read_text()
+
+
 def test_train_mlp_with_config_file(tmp_path):
     records = _records_csv(tmp_path, _bulk_rows(40))
     config = tmp_path / "mlp.cfg"

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -126,18 +127,79 @@ def test_ingest_idempotence(tmp_path):
     assert load_records(out_jsonl) == records
 
 
-def test_jsonl_unit_mismatch(tmp_path):
+@pytest.mark.parametrize("column", ["temperature", "value"])
+def test_csv_non_numeric_cell_rejected(tmp_path, column):
+    temperature, value = ("abc", "-1.0") if column == "temperature" else ("298.15", "abc")
+    path = _write(
+        tmp_path,
+        "bad.csv",
+        [HEADER, f"{EMIM},{TF2N},{CO2},,{temperature},il_solute,solvation_dg,{value},x"],
+    )
+    with pytest.raises(SchemaError, match=r"bad\.csv:2: 'abc' is not a number"):
+        load_records(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_csv_non_finite_number_rejected(tmp_path, cell):
+    path = _write(
+        tmp_path,
+        "bad.csv",
+        [HEADER, f"{EMIM},{TF2N},{CO2},,298.15,il_solute,solvation_dg,{cell},x"],
+    )
+    with pytest.raises(RecordError, match=r"bad\.csv:2: value must be a finite number"):
+        load_records(path)
+
+
+def _jsonl_record(**overrides):
     rec = {
         "schema_version": 1,
         "cation": EMIM, "anion": TF2N, "solute": CO2, "solvent": None,
         "temperature_K": 298.15, "category": "il_solute",
         "property": "solvation_dg", "value": -1.0, "source_id": "x",
-        "units": "kJ/mol",
     }
-    path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps(rec) + "\n")
+    rec.update(overrides)
+    return json.dumps(rec)
+
+
+def test_jsonl_unit_mismatch(tmp_path):
+    path = _write(tmp_path, "bad.jsonl", [_jsonl_record(units="kJ/mol")])
     with pytest.raises(RecordError, match="unit mismatch"):
         load_records(path)
+
+
+def test_jsonl_malformed_line_rejected(tmp_path):
+    path = _write(tmp_path, "bad.jsonl", [_jsonl_record(), '{"cation": '])
+    with pytest.raises(SchemaError, match=r"bad\.jsonl:2: invalid JSON"):
+        load_records(path)
+
+
+def test_jsonl_non_object_line_rejected(tmp_path):
+    path = _write(tmp_path, "bad.jsonl", [_jsonl_record(), "[1, 2]"])
+    with pytest.raises(SchemaError, match=r"bad\.jsonl:2: expected a JSON object"):
+        load_records(path)
+
+
+def test_jsonl_string_temperature_rejected(tmp_path):
+    path = _write(tmp_path, "bad.jsonl", [_jsonl_record(temperature_K="298")])
+    with pytest.raises(RecordError, match=r"bad\.jsonl:1: temperature must be a finite number"):
+        load_records(path)
+
+
+def test_jsonl_non_finite_value_rejected(tmp_path):
+    path = _write(tmp_path, "bad.jsonl", [_jsonl_record(value=float("nan"))])
+    with pytest.raises(RecordError, match=r"bad\.jsonl:1: value must be a finite number"):
+        load_records(path)
+
+
+@pytest.mark.parametrize("field", ["temperature", "value"])
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), True])
+def test_validate_record_rejects_bad_numbers(field, x):
+    rec = SystemRecord(
+        category="il_solute", cation=EMIM, anion=TF2N, solute=CO2,
+        temperature=298.15, property="solvation_dg", value=-1.0,
+    )
+    with pytest.raises(RecordError, match=f"{field} must be a finite number"):
+        validate_record(replace(rec, **{field: x}))
 
 
 def test_stored_smiles_are_canonical(tmp_path):

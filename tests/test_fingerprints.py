@@ -5,6 +5,7 @@ import pytest
 
 from genmol import corpus
 from ilkit.chem import parse_smiles, structural_match, write_smiles
+from ilkit.descriptors.topology import heavy_distances
 from ilkit.errors import IlkitError
 from ilkit.fingerprints import (
     Fingerprint,
@@ -16,6 +17,7 @@ from ilkit.fingerprints import (
     similarity_matrix,
     tanimoto,
 )
+from oracles.distances_oracle import _topological_distances
 
 
 def test_methane_radius0_single_bit():
@@ -169,3 +171,17 @@ def test_matrix_equals_scalar_tanimoto_cell_by_cell(kind, nbits):
 def test_similarity_matrix_of_no_molecules():
     for nbits in (0, 64, 2048):
         assert similarity_matrix([], nbits=nbits).shape == (0, 0)
+
+
+def test_heavy_distances_equal_oracle_on_equality_panel(equality_panel):
+    for mol in equality_panel:
+        heavy, _edges, dist = heavy_distances(mol)
+        assert heavy == [i for i, a in enumerate(mol.atoms) if a.element != "H"]
+        got = {}
+        for a, row in enumerate(dist):
+            assert row[a] == 0
+            for b, d in enumerate(row):
+                assert d == dist[b][a]
+                if a < b and d >= 0:
+                    got[(heavy[a], heavy[b])] = d
+        assert got == _topological_distances(mol, heavy)

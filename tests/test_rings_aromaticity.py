@@ -1,21 +1,23 @@
 from genmol import corpus
-from ilkit.chem import parse_smiles, perceive_rings
+from ilkit.chem import parse_smiles
+from ilkit.chem.rings import ring_bond_flags, sssr
+from oracles import rings_oracle
 from oracles.cycles import all_simple_cycles
 
 
 def test_acyclic_has_no_rings():
-    assert perceive_rings(parse_smiles("CCO")) == ()
+    assert parse_smiles("CCO").rings == ()
 
 
 def test_cyclopropane_single_ring():
-    rings = perceive_rings(parse_smiles("C1CC1"))
+    rings = parse_smiles("C1CC1").rings
     assert len(rings) == 1
     assert len(rings[0]) == 3
 
 
 def test_naphthalene_two_six_rings_vs_cycle_oracle():
     mol = parse_smiles("c1ccc2ccccc2c1")
-    rings = perceive_rings(mol)
+    rings = mol.rings
     assert sorted(len(r) for r in rings) == [6, 6]
     cycles = all_simple_cycles(len(mol.atoms), [(b.a, b.b) for b in mol.bonds])
     assert sorted(len(c) for c in cycles) == [6, 6, 10]
@@ -36,7 +38,7 @@ def test_cyclomatic_identity_on_corpus():
 
 def test_spiro_rings_share_one_atom():
     mol = parse_smiles("C1CCC2(CC1)CCCC2")
-    rings = perceive_rings(mol)
+    rings = mol.rings
     assert len(rings) == 2
     shared = set(rings[0]) & set(rings[1])
     assert len(shared) == 1
@@ -106,3 +108,14 @@ def test_bond_in_ring_flags():
     chain_bonds = [b for b in mol.bonds if not b.in_ring]
     assert len(ring_bonds) == 3
     assert len(chain_bonds) == 1
+
+
+def test_rings_equal_oracle_on_equality_panel(equality_panel):
+    for mol in equality_panel:
+        n, pairs = len(mol.atoms), [(b.a, b.b) for b in mol.bonds]
+        flags = rings_oracle.ring_bond_flags(n, pairs)
+        assert ring_bond_flags(n, pairs) == flags
+        assert [b.in_ring for b in mol.bonds] == flags
+        want = rings_oracle.sssr(n, pairs)
+        assert sssr(n, pairs, flags) == want
+        assert mol.rings == tuple(want)
