@@ -170,8 +170,10 @@ def perceive_aromaticity(
                 f"aromatic bond between atoms {bond.a} and {bond.b} lies in no aromatic ring"
             )
 
+    # Flagged atoms outside every aromatic ring raised above: flags only turn on.
     new_atoms = [
-        replace(atom, aromatic=(idx in aromatic_atoms)) for idx, atom in enumerate(atoms)
+        replace(atom, aromatic=True) if idx in aromatic_atoms and not atom.aromatic else atom
+        for idx, atom in enumerate(atoms)
     ]
     new_bonds = []
     for bi, bond in enumerate(bonds):

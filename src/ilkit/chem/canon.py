@@ -37,12 +37,19 @@ _ORDER_TOKEN = {SINGLE: "", DOUBLE: "=", TRIPLE: "#", AROMATIC: ""}
 _MAX_RANKINGS = 20000
 
 
-def _adjacency(atoms, bonds) -> list[list[tuple[int, int]]]:
-    adj: list[list[tuple[int, int]]] = [[] for _ in atoms]
-    for bi, bond in enumerate(bonds):
-        adj[bond.a].append((bond.b, bi))
-        adj[bond.b].append((bond.a, bi))
-    return adj
+def _coded_neighbors(atoms, bonds) -> list[list[tuple[int, int]]]:
+    """Per atom, (bond code * atom count, neighbor) pairs.
+
+    Adding a neighbor's rank (always below the atom count) packs the pair
+    (bond code, rank) into one int that sorts the way the pair would.
+    """
+    n = len(atoms)
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in atoms]
+    for bond in bonds:
+        code = BOND_CODE[bond.order] * n
+        nbrs[bond.a].append((code, bond.b))
+        nbrs[bond.b].append((code, bond.a))
+    return nbrs
 
 
 def _dense_ranks(keys: list) -> list[int]:
@@ -52,12 +59,12 @@ def _dense_ranks(keys: list) -> list[int]:
 
 def refinement_ranks(atoms, bonds) -> list[int]:
     """Stable neighborhood-refined ranks; equal ranks mean indistinguishable."""
-    adj = _adjacency(atoms, bonds)
+    nbrs = _coded_neighbors(atoms, bonds)
     keys = [
         (
             atomic_number(a.element),
             a.formal_charge,
-            len(adj[i]),
+            len(nbrs[i]),
             a.total_h,
             int(a.aromatic),
             a.isotope or 0,
@@ -65,17 +72,22 @@ def refinement_ranks(atoms, bonds) -> list[int]:
         )
         for i, a in enumerate(atoms)
     ]
-    return _refine(_dense_ranks(keys), bonds, adj)
+    return _refine(_dense_ranks(keys), nbrs)
 
 
-def _refine(ranks: list[int], bonds, adj) -> list[int]:
+def _refine(ranks: list[int], nbrs: list[list[tuple[int, int]]]) -> list[int]:
+    """Re-rank by (rank, sorted neighbor (bond code, rank) list) until stable.
+
+    An atom alone in its cell keeps its place among the dense ranks whatever
+    its neighbors, so its list is never built.
+    """
     while True:
+        size = [0] * len(ranks)
+        for r in ranks:
+            size[r] += 1
         keys = [
-            (
-                ranks[i],
-                tuple(sorted((BOND_CODE[bonds[bi].order], ranks[j]) for j, bi in adj[i])),
-            )
-            for i in range(len(ranks))
+            (r, tuple(sorted([code + ranks[j] for code, j in nbrs[i]])) if size[r] > 1 else ())
+            for i, r in enumerate(ranks)
         ]
         new_ranks = _dense_ranks(keys)
         if new_ranks == ranks:
@@ -96,8 +108,7 @@ def _least_leaf(mol: Molecule, base: list[int]) -> tuple[str, tuple[int, ...]]:
     string is never skipped, so the result is the one exhaustive exploration
     would give.
     """
-    bonds = mol.bonds
-    adj = _adjacency(mol.atoms, bonds)
+    nbrs = _coded_neighbors(mol.atoms, mol.bonds)
     n = len(base)
     refs: list[tuple[str, tuple[int, ...]]] = []  # [first leaf, best leaf]
     autos: list[list[int]] = []
@@ -167,7 +178,7 @@ def _least_leaf(mol: Molecule, base: list[int]) -> tuple[str, tuple[int, ...]]:
             taken.append(chosen)
             path.append(chosen)
             keys = [(ranks[i], 0 if i == chosen else 1) for i in range(n)]
-            resume = visit(_refine(_dense_ranks(keys), bonds, adj))
+            resume = visit(_refine(_dense_ranks(keys), nbrs))
             path.pop()
             if resume < depth:
                 break
@@ -300,16 +311,21 @@ def _emit(mol: Molecule, priority: list[int], refine_ranks: list[int]) -> tuple[
     out: list[str] = []
 
     def emit_atom(u: int) -> None:
-        closures = sorted(ring_at_closer[u], key=lambda t: digit_of[t[1]])
-        openings = sorted(ring_at_opener[u], key=lambda t: visit_pos[t[0]])
-        emit_seq: list[int] = []
-        if parent[u] is not None:
-            emit_seq.append(parent[u])
-        if mol.atoms[u].chirality and mol.atoms[u].total_h == 1:
-            emit_seq.append(HYDROGEN_SENTINEL)
-        emit_seq.extend(v for v, _bi in closures)
-        emit_seq.extend(v for v, _bi in openings)
-        emit_seq.extend(v for v, _bi in children[u])
+        closures = ring_at_closer[u]
+        openings = ring_at_opener[u]
+        if len(closures) > 1:
+            closures.sort(key=lambda t: digit_of[t[1]])
+        if len(openings) > 1:
+            openings.sort(key=lambda t: visit_pos[t[0]])
+        emit_seq: list[int] = []  # neighbor order of the written atom; only chirality reads it
+        if mol.atoms[u].chirality:
+            if parent[u] is not None:
+                emit_seq.append(parent[u])
+            if mol.atoms[u].total_h == 1:
+                emit_seq.append(HYDROGEN_SENTINEL)
+            emit_seq.extend(v for v, _bi in closures)
+            emit_seq.extend(v for v, _bi in openings)
+            emit_seq.extend(v for v, _bi in children[u])
         out.append(_atom_token(mol, u, emit_seq))
         for v, bi in closures:
             out.append(digit_token(digit_of[bi]))

@@ -299,7 +299,7 @@ def finalize(raw_atoms: list[_RawAtom], raw_bonds: list[list], seqs: dict[int, l
         Bond(a=a, b=b, order=order, stereo=STEREO_NONE, in_ring=flag)
         for (a, b, order, _d), flag in zip(raw_bonds, ring_flags)
     ]
-    candidates = small_cycles(n, bond_pairs, max_size=7)
+    candidates = small_cycles(n, bond_pairs, ring_flags, max_size=7)
     atoms, bonds = perceive_aromaticity(atoms, bonds, candidates)
 
     _validate_valences(atoms, bonds)

@@ -53,6 +53,9 @@ PROPERTY_CATEGORY = {
     "mass_density": "il_bulk_with_T",
 }
 
+# JSONL keys that must hold a string when present and not null.
+_JSONL_TEXT_FIELDS = (*ROLE_ORDER, "category", "property", "units", "source_id")
+
 STANDARD_TEMPERATURE = 298.15  # K, used for all synthetic systems
 
 # Pseudo-label layout: 4 x 21 descriptors + temperature + 4-way category tag.
@@ -231,6 +234,10 @@ def load_records(path: str | Path, fmt: str | None = None) -> list[SystemRecord]
                 version = obj.get("schema_version", SCHEMA_VERSION)
                 if version != SCHEMA_VERSION:
                     raise SchemaError(f"{path}:{lineno}: schema_version {version} unsupported")
+                for key in _JSONL_TEXT_FIELDS:
+                    x = obj.get(key)
+                    if x is not None and not isinstance(x, str):
+                        raise SchemaError(f"{path}:{lineno}: {key} must be a string, got {x!r}")
                 units = obj.get("units")
                 prop = obj.get("property")
                 if units is not None and prop is not None and units != PROPERTIES.get(prop):

@@ -4,7 +4,8 @@ import pytest
 
 from genmol import CURATED_SMILES, HYPERVALENT_ANIONS, SYMMETRIC_PANEL, corpus
 from ilkit.chem import canonicalize, parse_smiles, structural_match, write_smiles
-from ilkit.chem.canon import canonical_form
+from ilkit.chem.canon import _coded_neighbors, _emit, _refine, canonical_form, refinement_ranks
+from oracles import canon_oracle
 from oracles.canon_oracle import oracle_canonical_form
 from oracles.iso import isomorphic
 
@@ -104,6 +105,24 @@ def test_charge_bookkeeping_named_ions(ion_molecules):
             assert mol.net_charge == -1, name
         else:
             assert mol.net_charge == 0, name
+
+
+def test_refinement_and_emission_equal_frozen_oracle_on_equality_panel(equality_panel):
+    for mol in equality_panel:
+        base = refinement_ranks(mol.atoms, mol.bonds)
+        assert base == canon_oracle.refinement_ranks(mol.atoms, mol.bonds)
+        assert _emit(mol, base, base) == canon_oracle._emit(mol, base, base)
+        cells: dict[int, list[int]] = {}
+        for i, r in enumerate(base):
+            cells.setdefault(r, []).append(i)
+        tied = [r for r, members in cells.items() if len(members) > 1]
+        if not tied:
+            continue
+        nbrs = _coded_neighbors(mol.atoms, mol.bonds)
+        adj = canon_oracle._adjacency(mol.atoms, mol.bonds)
+        for chosen in cells[min(tied)]:
+            start = canon_oracle.individualize(base, chosen)
+            assert _refine(start, nbrs) == canon_oracle._refine(start, mol.bonds, adj)
 
 
 def _assert_matches_oracle(mol):

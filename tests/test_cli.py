@@ -440,6 +440,22 @@ def test_bad_record_number_is_a_schema_error_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_non_string_jsonl_property_is_a_schema_error_without_traceback(tmp_path):
+    records = tmp_path / "bad.jsonl"
+    records.write_text(json.dumps({
+        "cation": EMIM, "anion": TF2N, "solute": CO2, "temperature_K": 298.15,
+        "category": "il_solute", "property": ["solvation_dg"], "value": -1.0,
+    }) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ilkit.cli", "split", str(records), "--scheme", "cation"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error[schema]: "), proc.stderr
+    assert f"{records}:1: property must be a string" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_train_mlp_defaults_match_mlp_config(tmp_path):
     import numpy as np
     from ilkit.datasets import load_records

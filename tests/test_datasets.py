@@ -191,6 +191,25 @@ def test_jsonl_non_finite_value_rejected(tmp_path):
         load_records(path)
 
 
+@pytest.mark.parametrize(
+    "field, x",
+    [
+        ("category", ["il_solute"]),
+        ("property", ["solvation_dg"]),
+        ("units", {"kcal": "mol"}),
+        ("cation", ["CC"]),
+        ("anion", 7),
+        ("solute", True),
+        ("solvent", 1.5),
+        ("source_id", 42),
+    ],
+)
+def test_jsonl_non_string_text_field_rejected(tmp_path, field, x):
+    path = _write(tmp_path, "bad.jsonl", [_jsonl_record(), _jsonl_record(**{field: x})])
+    with pytest.raises(SchemaError, match=rf"bad\.jsonl:2: {field} must be a string"):
+        load_records(path)
+
+
 @pytest.mark.parametrize("field", ["temperature", "value"])
 @pytest.mark.parametrize("x", [float("nan"), float("inf"), True])
 def test_validate_record_rejects_bad_numbers(field, x):

@@ -1,6 +1,6 @@
 from genmol import corpus
 from ilkit.chem import parse_smiles
-from ilkit.chem.rings import ring_bond_flags, sssr
+from ilkit.chem.rings import ring_bond_flags, small_cycles, sssr
 from oracles import rings_oracle
 from oracles.cycles import all_simple_cycles
 
@@ -119,3 +119,4 @@ def test_rings_equal_oracle_on_equality_panel(equality_panel):
         want = rings_oracle.sssr(n, pairs)
         assert sssr(n, pairs, flags) == want
         assert mol.rings == tuple(want)
+        assert small_cycles(n, pairs, flags) == rings_oracle.small_cycles(n, pairs)

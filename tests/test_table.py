@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -96,3 +97,33 @@ def test_outputs_do_not_depend_on_table_state(tmp_path, monkeypatch):
     monkeypatch.setattr(table, "MAX_ENTRIES", 4)
     evicting = (_pool_search(), _load(tmp_path))
     assert cold == warm == evicting
+
+
+def test_long_ingest_keeps_table_and_memory_bounded(tmp_path, monkeypatch):
+    """2000 records spelling 1000 distinct texts through a 256-entry table:
+    the table stays at its bound, and beyond what the loaded records hold
+    the load peaks under a fixed budget. Keeping each parsed molecule
+    (about 1.2 KiB apiece here) would break the budget."""
+    monkeypatch.setattr(table, "MAX_ENTRIES", 256)
+    texts = [t for k in range(1, 501) for t in (f"[{k}CH3]CO", f"OC[{k}CH3]")]
+    records = [
+        SystemRecord("il_solute", cation="CC[n+]1ccn(C)c1", anion="[S-]C#N", solute=text,
+                     temperature=298.15 + rep, property="solvation_dg", value=1.0)
+        for text in texts
+        for rep in range(2)
+    ]
+    path = tmp_path / "long.csv"
+    save_records(records, path)
+    table._entries.clear()
+    tracemalloc.start()
+    try:
+        loaded = load_records(path)
+        assert len(table._entries) <= table.MAX_ENTRIES
+        table._entries.clear()  # its values are the records' canonical strings
+        with_records, peak = tracemalloc.get_traced_memory()
+        assert len(loaded) == 1000  # the two spellings of a molecule collapse
+        del loaded
+        records_held = with_records - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak - records_held < 2.5 * 2**20
