@@ -109,6 +109,7 @@ def _least_leaf(mol: Molecule, base: list[int]) -> tuple[str, tuple[int, ...]]:
     would give.
     """
     nbrs = _coded_neighbors(mol.atoms, mol.bonds)
+    tokens = _atom_tokens(mol)
     n = len(base)
     refs: list[tuple[str, tuple[int, ...]]] = []  # [first leaf, best leaf]
     autos: list[list[int]] = []
@@ -118,7 +119,7 @@ def _least_leaf(mol: Molecule, base: list[int]) -> tuple[str, tuple[int, ...]]:
 
     def leaf(ranks: list[int]) -> int:
         """Record a leaf; return the depth of the first redundant node on its path."""
-        s, order = _emit(mol, ranks, base)
+        s, order = _emit(mol, ranks, base, tokens)
         if not refs:
             refs.extend([(s, order), (s, order)])
             return len(path)
@@ -250,8 +251,25 @@ def write_smiles(mol: Molecule, order: list[int] | tuple[int, ...] | None = None
     return s
 
 
-def _emit(mol: Molecule, priority: list[int], refine_ranks: list[int]) -> tuple[str, tuple[int, ...]]:
-    """Write SMILES visiting atoms by ascending priority. Returns (string, order)."""
+def _atom_tokens(mol: Molecule) -> list[str | None]:
+    """Each atom's SMILES token; None for a chiral atom, whose mark depends
+    on the order its neighbors are written in."""
+    return [None if atom.chirality else _atom_token(mol, u, []) for u, atom in enumerate(mol.atoms)]
+
+
+def _emit(
+    mol: Molecule,
+    priority: list[int],
+    refine_ranks: list[int],
+    tokens: list[str | None] | None = None,
+) -> tuple[str, tuple[int, ...]]:
+    """Write SMILES visiting atoms by ascending priority. Returns (string, order).
+
+    ``tokens`` (from ``_atom_tokens``) lets a caller that emits one molecule
+    many times build the atom tokens once.
+    """
+    if tokens is None:
+        tokens = _atom_tokens(mol)
     n = len(mol.atoms)
     adj = [sorted(mol.neighbors(i), key=lambda t: priority[t[0]]) for i in range(n)]
 
@@ -317,8 +335,9 @@ def _emit(mol: Molecule, priority: list[int], refine_ranks: list[int]) -> tuple[
             closures.sort(key=lambda t: digit_of[t[1]])
         if len(openings) > 1:
             openings.sort(key=lambda t: visit_pos[t[0]])
-        emit_seq: list[int] = []  # neighbor order of the written atom; only chirality reads it
-        if mol.atoms[u].chirality:
+        token = tokens[u]
+        if token is None:
+            emit_seq: list[int] = []  # neighbor order of the written atom
             if parent[u] is not None:
                 emit_seq.append(parent[u])
             if mol.atoms[u].total_h == 1:
@@ -326,7 +345,8 @@ def _emit(mol: Molecule, priority: list[int], refine_ranks: list[int]) -> tuple[
             emit_seq.extend(v for v, _bi in closures)
             emit_seq.extend(v for v, _bi in openings)
             emit_seq.extend(v for v, _bi in children[u])
-        out.append(_atom_token(mol, u, emit_seq))
+            token = _atom_token(mol, u, emit_seq)
+        out.append(token)
         for v, bi in closures:
             out.append(digit_token(digit_of[bi]))
         for v, bi in openings:

@@ -189,10 +189,30 @@ def save_records(records: Sequence[SystemRecord], path: str | Path, fmt: str | N
 
 
 def load_records(path: str | Path, fmt: str | None = None) -> list[SystemRecord]:
-    """Load and validate records; duplicate keys must agree within 1e-9."""
+    """Load and validate records; duplicate keys must agree within 1e-9.
+
+    Each row is validated and de-duplicated as it is read, so the first bad
+    line in file order raises and no copy of the raw rows is kept.
+    """
     path = Path(path)
     fmt = fmt or ("jsonl" if path.suffix == ".jsonl" else "csv")
-    raw: list[tuple[str, SystemRecord]] = []
+    out: list[SystemRecord] = []
+    seen: dict[tuple, tuple[int, float | None]] = {}
+
+    def add(where: str, rec: SystemRecord) -> None:
+        rec = validate_record(rec, where)
+        key = (rec.roles_key(), rec.category, rec.temperature, rec.property)
+        if rec.property is not None and key in seen:
+            pos, old_value = seen[key]
+            if old_value is None or rec.value is None or abs(old_value - rec.value) > 1e-9:
+                raise RecordError(
+                    f"{where}: duplicate of record {pos + 1} with conflicting value "
+                    f"({old_value} vs {rec.value})"
+                )
+            return  # agreeing duplicate: collapse
+        seen[key] = (len(out), rec.value)
+        out.append(rec)
+
     if fmt == "csv":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -218,7 +238,7 @@ def load_records(path: str | Path, fmt: str | None = None) -> list[SystemRecord]
                     value=_csv_number(row[7], where),
                     source_id=row[8],
                 )
-                raw.append((where, rec))
+                add(where, rec)
     elif fmt == "jsonl":
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -256,25 +276,9 @@ def load_records(path: str | Path, fmt: str | None = None) -> list[SystemRecord]
                     value=obj.get("value"),
                     source_id=obj.get("source_id", ""),
                 )
-                raw.append((f"{path}:{lineno}", rec))
+                add(f"{path}:{lineno}", rec)
     else:
         raise SchemaError(f"unknown format {fmt!r}")
-
-    out: list[SystemRecord] = []
-    seen: dict[tuple, tuple[int, float | None]] = {}
-    for where, rec in raw:
-        rec = validate_record(rec, where)
-        key = (rec.roles_key(), rec.category, rec.temperature, rec.property)
-        if rec.property is not None and key in seen:
-            pos, old_value = seen[key]
-            if old_value is None or rec.value is None or abs(old_value - rec.value) > 1e-9:
-                raise RecordError(
-                    f"{where}: duplicate of record {pos + 1} with conflicting value "
-                    f"({old_value} vs {rec.value})"
-                )
-            continue  # agreeing duplicate: collapse
-        seen[key] = (len(out), rec.value)
-        out.append(rec)
     return out
 
 

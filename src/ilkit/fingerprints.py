@@ -188,6 +188,29 @@ def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
     return inter / union
 
 
+def pack(fps: list[Fingerprint], nbits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Folded fingerprints as little-endian ``uint64`` rows, plus their bit counts.
+
+    Rows are padded to whole words, so widths below 64 work too.
+    """
+    width = -(-nbits // 64) * 8
+    words = np.frombuffer(
+        b"".join(fp.bits.to_bytes(width, "little") for fp in fps), dtype="<u8"
+    ).reshape(len(fps), width // 8)
+    return words, np.array([fp.popcount for fp in fps], dtype=np.int64)
+
+
+def packed_tanimoto(row: np.ndarray, count: int, words: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Tanimoto of one packed row against each of ``words``; each entry equals ``tanimoto``.
+
+    Counts stay below 2**53, so int64 -> float64 division rounds as
+    Python's ``int / int`` does.
+    """
+    inter = np.bitwise_count(row & words).sum(axis=1, dtype=np.int64)
+    union = count + counts - inter
+    return np.divide(inter, union, out=np.ones(len(union)), where=union > 0)
+
+
 def similarity_matrix(
     mols: list[Molecule],
     kind: str = "ecfp",
@@ -196,8 +219,8 @@ def similarity_matrix(
 ) -> np.ndarray:
     """Symmetric pairwise Tanimoto matrix with a unit diagonal.
 
-    Folded fingerprints are packed into uint64 rows and counted a row block
-    at a time; each cell equals ``tanimoto`` of the pair exactly.
+    Folded fingerprints are packed once and counted a row block at a time;
+    each cell equals ``tanimoto`` of the pair exactly.
     """
     fps = [make_fingerprint(m, kind, radius, nbits) for m in mols]
     n = len(fps)
@@ -207,14 +230,9 @@ def similarity_matrix(
             for j in range(i + 1, n):
                 out[i, j] = out[j, i] = tanimoto(fps[i], fps[j])
         return out
-    width = -(-nbits // 64) * 8
-    packed = np.frombuffer(
-        b"".join(fp.bits.to_bytes(width, "little") for fp in fps), dtype="<u8"
-    ).reshape(n, width // 8)
-    counts = np.array([fp.popcount for fp in fps], dtype=np.int64)
+    words, counts = pack(fps, nbits)
     for i in range(n - 1):
-        inter = np.bitwise_count(packed[i] & packed[i + 1:]).sum(axis=1, dtype=np.int64)
-        union = counts[i] + counts[i + 1:] - inter
-        row = np.divide(inter, union, out=np.ones(len(union)), where=union > 0)
-        out[i, i + 1:] = out[i + 1:, i] = row
+        out[i, i + 1:] = out[i + 1:, i] = packed_tanimoto(
+            words[i], counts[i], words[i + 1:], counts[i + 1:]
+        )
     return out

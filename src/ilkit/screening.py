@@ -17,10 +17,19 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .chem import canonicalize, table
 from .datasets import ROLE_ORDER, STANDARD_TEMPERATURE, SystemRecord
 from .errors import ConfigError, SearchError
-from .fingerprints import DEFAULT_NBITS, DEFAULT_RADIUS, make_fingerprint, tanimoto
+from .fingerprints import (
+    DEFAULT_NBITS,
+    DEFAULT_RADIUS,
+    make_fingerprint,
+    pack,
+    packed_tanimoto,
+    tanimoto,
+)
 
 
 def hydration_dg(solvation: float, transfer_il_water: float) -> float:
@@ -151,6 +160,11 @@ def beam_search(
     similarity floor. The predictor ranks candidates; the beam keeps the
     global best beam_width of beam plus expansions. Stops at the iteration
     budget or as soon as the beam stops changing.
+
+    Folded fingerprints of each pool are packed once per search; one
+    vectorized Tanimoto pass per (beam member, role) picks the pool
+    molecules that reach the floor, and only those are visited, in pool
+    order. Unfolded fingerprints visit the whole pool.
     """
     config.validate()
     if not seeds:
@@ -168,6 +182,7 @@ def beam_search(
         raise ConfigError("fingerprint cache parameters do not match the search config")
     fps = fingerprints or FingerprintCache(config.fingerprint, config.radius, config.nbits)
     pool_fps = {role: [fps.get(smiles) for smiles in pool] for role, pool in pools.items()}
+    packed = {role: pack(pool_fps[role], config.nbits) for role in pools} if config.nbits else {}
     score_cache: dict[tuple, float] = {}
 
     def score(record: SystemRecord) -> float:
@@ -203,12 +218,20 @@ def beam_search(
                 current = getattr(cand.record, role)
                 if current is None:
                     raise SearchError(f"seed lacks the mutable role {role!r}")
+                # The pool is deduplicated: anything but [current] holds a candidate.
+                any_candidate = any_candidate or pool != [current]
                 cur_fp = fps.get(current)
-                for smiles, fp in zip(pool, pool_fps[role]):
+                if config.nbits:
+                    row, count = pack([cur_fp], config.nbits)
+                    sims = packed_tanimoto(row[0], count[0], *packed[role])
+                    survivors = np.flatnonzero(sims >= config.similarity_floor).tolist()
+                else:
+                    survivors = range(len(pool))
+                for k in survivors:
+                    smiles = pool[k]
                     if smiles == current:
                         continue
-                    any_candidate = True
-                    sim = tanimoto(fp, cur_fp)
+                    sim = tanimoto(pool_fps[role][k], cur_fp)
                     if sim < config.similarity_floor:
                         continue
                     any_neighbor = True

@@ -10,8 +10,9 @@ Refinement and emission are frozen here as they stood before ``_refine``
 packed neighbor entries into ints and skipped atoms alone in their cell
 (every round re-sorts every atom's (bond code, neighbor rank) tuples) and
 before ``_emit`` stopped building neighbor sequences for atoms without
-chirality. ``refinement_ranks``, ``_refine`` and ``_emit`` in
-``ilkit.chem.canon`` must give exactly these results.
+chirality and took atom tokens built once per molecule (here every emission
+asks ``_atom_token`` for every atom). ``refinement_ranks``, ``_refine`` and
+``_emit`` in ``ilkit.chem.canon`` must give exactly these results.
 """
 
 from __future__ import annotations

@@ -87,6 +87,26 @@ def test_bad_smiles_rejected_with_row(tmp_path):
         load_records(path)
 
 
+def test_first_bad_line_in_file_order_wins(tmp_path):
+    # Rows are validated as they are read: the bad SMILES on line 3 is
+    # reported, not the unreadable number or the malformed line after it.
+    path = _write(tmp_path, "bad.csv", [
+        HEADER,
+        f"{EMIM},{TF2N},{CO2},,298.15,il_solute,solvation_dg,-1.0,x",
+        f"QQ,{TF2N},{CO2},,298.15,il_solute,solvation_dg,-1.0,x",
+        f"{EMIM},{TF2N},{CO2},,298.15,il_solute,solvation_dg,abc,x",
+    ])
+    with pytest.raises(RecordError, match=r"bad\.csv:3"):
+        load_records(path)
+    path = _write(tmp_path, "bad.jsonl", [
+        _jsonl_record(),
+        _jsonl_record(cation="QQ"),
+        "{not json",
+    ])
+    with pytest.raises(RecordError, match=r"bad\.jsonl:2"):
+        load_records(path)
+
+
 def test_wrong_header_rejected(tmp_path):
     path = _write(tmp_path, "bad.csv", ["a,b,c", "1,2,3"])
     with pytest.raises(SchemaError):

@@ -18,6 +18,7 @@ from ilkit.screening import (
     modify_side_chain,
     top_k_seeds,
 )
+from oracles import search_oracle
 
 EMIM = "CCn1cc[n+](C)c1"
 SCN = "[S-]C#N"
@@ -279,3 +280,122 @@ def test_beam_seed_spelling_is_canonicalized():
     assert len(result.ranked) == len(pool)
     seed_cand = next(c for c in result.ranked if c.provenance == "seed")
     assert seed_cand.record.roles_key() == (canonicalize(EMIM), acetate, canonicalize(CO2), None)
+
+
+# Equality with the per-pair search: the packed prefilter must leave every
+# SearchResult, predictor call and error exactly as the scalar loop had them.
+
+
+def _both(seeds, pools, predictor, cfg):
+    """(result or error, predictor calls) from the library and the oracle."""
+    out = []
+    for search in (beam_search, search_oracle.beam_search):
+        calls = []
+
+        def counted(record):
+            calls.append(record.roles_key())
+            return predictor(record)
+
+        try:
+            result = search(seeds, pools, counted, cfg)
+        except SearchError as exc:
+            result = ("SearchError", str(exc))
+        out.append((result, calls))
+    return out
+
+
+def _assert_same_search(seeds, pools, predictor, cfg):
+    (got, got_calls), (want, want_calls) = _both(seeds, pools, predictor, cfg)
+    assert got == want
+    assert got_calls == want_calls
+    return got
+
+
+def test_packed_search_equals_per_pair_on_planted_target():
+    pool, target, predictor = _pool_and_predictor(seed=6, size=300)
+    target_fp = ecfp(parse_smiles(target))
+    qualifying = [
+        s for s in pool
+        if s != target and tanimoto(ecfp(parse_smiles(s)), target_fp) >= 0.3
+    ]
+    cfg = SearchConfig(objective="maximize", beam_width=8, iterations=5, similarity_floor=0.3)
+    for seed in qualifying[:6]:
+        result = _assert_same_search([_seed_record(seed)], {"anion": pool}, predictor, cfg)
+        assert result.ranked[0].record.anion == canonicalize(target)
+
+
+@pytest.mark.parametrize("objective", ["maximize", "minimize"])
+def test_packed_search_equals_per_pair_at_exhaustive_width(objective):
+    pool, _target, predictor = _pool_and_predictor(seed=8, size=150)
+    rng = random.Random(8)
+    for trial in range(4):
+        sub = rng.sample(pool, rng.randint(5, 120))
+        cfg = SearchConfig(
+            objective=objective, beam_width=len(sub) + 1, iterations=1 + trial % 2,
+            similarity_floor=0.0,
+        )
+        seeds = [_seed_record(s) for s in rng.sample(sub, 1 + trial)]
+        result = _assert_same_search(seeds, {"anion": sub}, predictor, cfg)
+        assert len(result.ranked) == len(sub)
+
+
+def test_packed_search_equals_per_pair_with_floor_at_an_attained_similarity():
+    pool, _target, predictor = _pool_and_predictor(seed=9, size=200)
+    seed = pool[3]
+    seed_fp = ecfp(parse_smiles(seed))
+    attained = sorted({tanimoto(ecfp(parse_smiles(s)), seed_fp) for s in pool if s != seed})
+    for floor in (attained[len(attained) // 2], attained[-1], attained[-2]):
+        cfg = SearchConfig(objective="maximize", beam_width=4, iterations=3, similarity_floor=floor)
+        result = _assert_same_search([_seed_record(seed)], {"anion": pool}, predictor, cfg)
+        first = [c for c in result.ranked if c.iteration == 1]
+        assert first and min(c.similarity for c in first) == floor
+
+
+def test_packed_search_equals_per_pair_on_floor_errors():
+    pool, _target, predictor = _pool_and_predictor(seed=5, size=30)
+    cfg = SearchConfig(objective="maximize", beam_width=4, iterations=3, similarity_floor=1.0)
+    (got, _), (want, _) = _both([_seed_record(pool[0])], {"anion": pool}, predictor, cfg)
+    assert got == want and got[0] == "SearchError" and "similarity floor" in got[1]
+    # A pool holding only the seed's own molecule has no candidate, so no error.
+    for pool_of_seed in ([pool[0]], [pool[0], pool[0]]):
+        result = _assert_same_search(
+            [_seed_record(pool[0])], {"anion": pool_of_seed}, predictor, cfg
+        )
+        assert [c.provenance for c in result.ranked] == ["seed"]
+
+
+@pytest.mark.parametrize("nbits", [0, 32])
+def test_packed_search_equals_per_pair_unfolded_and_padded(nbits):
+    pool, _target, _predictor = _pool_and_predictor(seed=10, size=120)
+    target = pool[1]
+
+    def predictor(record):
+        return -abs(len(record.anion) - len(target)) - 0.01 * (record.anion != target)
+
+    for floor in (0.0, 0.3, 0.5):
+        cfg = SearchConfig(
+            objective="maximize", beam_width=6, iterations=4, similarity_floor=floor, nbits=nbits
+        )
+        for seed in pool[5:8]:
+            _assert_same_search([_seed_record(seed)], {"anion": pool}, predictor, cfg)
+
+
+def test_packed_search_equals_per_pair_over_two_roles():
+    pool, target, _predictor = _pool_and_predictor(seed=11, size=80)
+    cations = pool[:40]
+    anions = pool[40:]
+    target_fp = ecfp(parse_smiles(target))
+
+    def predictor(record):
+        return (
+            tanimoto(ecfp(parse_smiles(record.cation)), target_fp)
+            + 0.5 * tanimoto(ecfp(parse_smiles(record.anion)), target_fp)
+        )
+
+    seed = SystemRecord(
+        "il_solute", cation=cations[7], anion=anions[3], solute=canonicalize(CO2),
+        temperature=298.15,
+    )
+    for floor in (0.1, 0.3):
+        cfg = SearchConfig(objective="maximize", beam_width=5, iterations=4, similarity_floor=floor)
+        _assert_same_search([seed], {"cation": cations, "anion": anions}, predictor, cfg)
