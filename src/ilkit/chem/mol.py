@@ -9,6 +9,7 @@ atom, never as graph nodes (bracket ``[H]`` atoms are the one exception).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Hashable, TypeVar
 
 from ..errors import IlkitError
 
@@ -31,6 +32,8 @@ STEREO_TRANS = "trans"
 CHI_NONE = ""
 CHI_CCW = "@"
 CHI_CW = "@@"
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ class Molecule:
         "rings",
         "_adj",
         "_chiral_order",
-        "_canonical",
+        "_derived",
     )
 
     def __init__(
@@ -108,7 +111,7 @@ class Molecule:
         self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
         # Neighbor sequences (with -1 for an implicit H) backing @/@@ parity.
         self._chiral_order = dict(chiral_order or {})
-        self._canonical: tuple[str, tuple[int, ...]] | None = None
+        self._derived: dict = {}
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -149,13 +152,22 @@ class Molecule:
     def chiral_neighbor_order(self, idx: int) -> tuple[int, ...] | None:
         return self._chiral_order.get(idx)
 
-    # Canonical form is computed lazily by ilkit.chem.canon and cached here.
+    def derived(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """The value kept under ``key`` for this molecule, or ``compute()``
+        kept there. Values live as long as the molecule; errors are not kept."""
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = compute()
+        return value
+
+    # Canonical form is computed lazily by ilkit.chem.canon and kept here.
     def _get_canonical(self) -> tuple[str, tuple[int, ...]]:
-        if self._canonical is None:
+        def compute():
             from .canon import canonical_form
 
-            self._canonical = canonical_form(self)
-        return self._canonical
+            return canonical_form(self)
+
+        return self.derived("canonical", compute)
 
     @property
     def canonical_smiles(self) -> str:

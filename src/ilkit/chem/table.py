@@ -5,7 +5,9 @@ One bounded store holds two kinds of entry:
 - input text -> canonical SMILES, filled by ``ilkit.chem.canonicalize``;
 - (canonical SMILES, key) -> a value derived from the molecule parsed from
   that canonical SMILES, filled by ``derived`` under a key the caller
-  gives (``"descriptors"``, a fingerprint's kind/radius/width, ...).
+  gives (``"descriptors"``, a fingerprint's kind/radius/width, ...);
+- any other key a caller fills through ``memo``, such as a beam-search
+  pool prepared under its texts and fingerprint parameters.
 
 Entries are strings and derived values, never ``Molecule`` objects. Every
 value is a pure function of its key, so neither eviction (oldest entry

@@ -9,6 +9,7 @@ as a collision-free reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -143,15 +144,16 @@ def atom_pair_identifiers(mol: Molecule) -> set[int]:
         for k, i in enumerate(heavy)
     ]
 
-    ids: set[int] = set()
+    # Many pairs share a (type, type, distance) key; hash each key once.
+    keys = set()
     for a in range(len(heavy)):
         for b in range(a + 1, len(heavy)):
             d = dist[a][b]
             if d < 0:
                 continue
             t1, t2 = sorted((types[a], types[b]))
-            ids.add(combine((t1, t2, min(d, _DISTANCE_CAP))))
-    return ids
+            keys.add((t1, t2, min(d, _DISTANCE_CAP)))
+    return {combine(key) for key in keys}
 
 
 def atom_pair(mol: Molecule, nbits: int = DEFAULT_NBITS) -> Fingerprint:
@@ -164,11 +166,14 @@ def make_fingerprint(
     radius: int = DEFAULT_RADIUS,
     nbits: int = DEFAULT_NBITS,
 ) -> Fingerprint:
+    """The molecule's fingerprint, computed once and kept on the molecule."""
     if kind == "ecfp":
-        return ecfp(mol, radius, nbits)
-    if kind == "atom_pair":
-        return atom_pair(mol, nbits)
-    raise IlkitError(f"unknown fingerprint kind {kind!r}")
+        compute = lambda: ecfp(mol, radius, nbits)  # noqa: E731
+    elif kind == "atom_pair":
+        compute = lambda: atom_pair(mol, nbits)  # noqa: E731
+    else:
+        raise IlkitError(f"unknown fingerprint kind {kind!r}")
+    return mol.derived(("fingerprint", kind, radius, nbits), compute)
 
 
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
@@ -188,7 +193,7 @@ def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
     return inter / union
 
 
-def pack(fps: list[Fingerprint], nbits: int) -> tuple[np.ndarray, np.ndarray]:
+def pack(fps: Sequence[Fingerprint], nbits: int) -> tuple[np.ndarray, np.ndarray]:
     """Folded fingerprints as little-endian ``uint64`` rows, plus their bit counts.
 
     Rows are padded to whole words, so widths below 64 work too.

@@ -141,6 +141,29 @@ class FingerprintCache:
         )
 
 
+def _search_pool(role: str, pool: Sequence[str], fps: FingerprintCache) -> tuple:
+    """(sorted distinct canonical SMILES, their fingerprints, read-only packed
+    rows or None when unfolded) for one role's pool.
+
+    Kept in the molecule table under the pool's texts and the fingerprint
+    parameters, so repeated searches over one pool prepare it once. A bad
+    or empty pool raises on every call.
+    """
+
+    def prepare():
+        smiles = tuple(sorted({canonicalize(s) for s in pool}))
+        if not smiles:
+            raise SearchError(f"pool for role {role!r} is empty")
+        pool_fps = tuple(fps.get(s) for s in smiles)
+        if not fps.nbits:
+            return smiles, pool_fps, None
+        words, counts = pack(pool_fps, fps.nbits)
+        words.flags.writeable = counts.flags.writeable = False
+        return smiles, pool_fps, (words, counts)
+
+    return table.memo(("search pool", tuple(pool), fps.kind, fps.radius, fps.nbits), prepare)
+
+
 def _with_canonical_roles(record: SystemRecord) -> SystemRecord:
     present = [role for role in ROLE_ORDER if getattr(record, role)]
     return replace(record, **{role: canonicalize(getattr(record, role)) for role in present})
@@ -161,7 +184,8 @@ def beam_search(
     global best beam_width of beam plus expansions. Stops at the iteration
     budget or as soon as the beam stops changing.
 
-    Folded fingerprints of each pool are packed once per search; one
+    Each pool is canonicalized, fingerprinted and (when folded) packed once
+    and kept in the molecule table for later searches over it; one
     vectorized Tanimoto pass per (beam member, role) picks the pool
     molecules that reach the floor, and only those are visited, in pool
     order. Unfolded fingerprints visit the whole pool.
@@ -173,16 +197,10 @@ def beam_search(
         raise SearchError("beam_search needs at least one mutable role pool")
     minimize = config.objective == "minimize"
     seeds = [_with_canonical_roles(rec) for rec in seeds]
-    pools = {role: sorted({canonicalize(s) for s in pool}) for role, pool in pools.items()}
-    for role, pool in pools.items():
-        if not pool:
-            raise SearchError(f"pool for role {role!r} is empty")
-
     if fingerprints is not None and not fingerprints.matches(config):
         raise ConfigError("fingerprint cache parameters do not match the search config")
     fps = fingerprints or FingerprintCache(config.fingerprint, config.radius, config.nbits)
-    pool_fps = {role: [fps.get(smiles) for smiles in pool] for role, pool in pools.items()}
-    packed = {role: pack(pool_fps[role], config.nbits) for role in pools} if config.nbits else {}
+    pools = {role: _search_pool(role, pool, fps) for role, pool in pools.items()}
     score_cache: dict[tuple, float] = {}
 
     def score(record: SystemRecord) -> float:
@@ -214,16 +232,16 @@ def beam_search(
         any_candidate = False
         any_neighbor = False
         for cand in beam.values():
-            for role, pool in pools.items():
+            for role, (pool, pool_fps, packed) in pools.items():
                 current = getattr(cand.record, role)
                 if current is None:
                     raise SearchError(f"seed lacks the mutable role {role!r}")
-                # The pool is deduplicated: anything but [current] holds a candidate.
-                any_candidate = any_candidate or pool != [current]
+                # The pool is deduplicated: anything but (current,) holds a candidate.
+                any_candidate = any_candidate or pool != (current,)
                 cur_fp = fps.get(current)
                 if config.nbits:
                     row, count = pack([cur_fp], config.nbits)
-                    sims = packed_tanimoto(row[0], count[0], *packed[role])
+                    sims = packed_tanimoto(row[0], count[0], *packed)
                     survivors = np.flatnonzero(sims >= config.similarity_floor).tolist()
                 else:
                     survivors = range(len(pool))
@@ -231,7 +249,7 @@ def beam_search(
                     smiles = pool[k]
                     if smiles == current:
                         continue
-                    sim = tanimoto(pool_fps[role][k], cur_fp)
+                    sim = tanimoto(pool_fps[k], cur_fp)
                     if sim < config.similarity_floor:
                         continue
                     any_neighbor = True

@@ -4,10 +4,10 @@
 module and class attributes (``screening.tanimoto``,
 ``FingerprintCache.get``, ``beam_search`` and the rest). A library change
 that drops or renames one of those names breaks every traced benchmark
-run. This test loads both files by path, unchanged, traces one small
-``screen`` search through the benchmark's own ``Screen`` workload, and
-checks that the search counters move and that uninstalling restores every
-attribute.
+run. These tests load both files by path, unchanged, trace one small
+``screen`` search and one small ``similarity`` round through the
+benchmark's own workloads, and check the counters, the output digest and
+that uninstalling restores every attribute.
 """
 
 import csv
@@ -29,6 +29,10 @@ ANIONS = [
     "CC(=O)[O-]", "CCC(=O)[O-]", "CCCC(=O)[O-]", "CCCCC(=O)[O-]", "OCC(=O)[O-]",
     "CC(O)C(=O)[O-]", "CS(=O)(=O)[O-]", "CCS(=O)(=O)[O-]", "CCCS(=O)(=O)[O-]",
     "FC(F)(F)C(=O)[O-]", "FC(F)(F)S(=O)(=O)[O-]", "[S-]C#N", "N#C[N-]C#N",
+]
+MOLECULES = [
+    (EMIM, "emim"), ("CC(=O)[O-]", "acetate"), ("FC(F)(F)S(=O)(=O)[O-]", "triflate"),
+    ("c1ccccc1O", "phenol"), ("CCCCN", "butylamine"), ("OCC(=O)[O-]", "glycolate"),
 ]
 
 
@@ -70,6 +74,13 @@ def _ilkit_attributes() -> dict:
     return snap
 
 
+def _assert_restored(before):
+    after = _ilkit_attributes()
+    for owner, attrs in before.items():
+        changed = [k for k, v in attrs.items() if after[owner].get(k) is not v]
+        assert changed == [], owner
+
+
 def test_bench_tracer_counts_a_search_and_uninstalls(tmp_path, monkeypatch):
     spans = _load("spans", monkeypatch)
     workloads = _load("workloads", monkeypatch)
@@ -96,8 +107,38 @@ def test_bench_tracer_counts_a_search_and_uninstalls(tmp_path, monkeypatch):
         assert metrics[name][0] > 0, name
     assert "screening.floor_rejected" in metrics
 
-    after = _ilkit_attributes()
-    for owner, attrs in before.items():
-        changed = [k for k, v in attrs.items() if after[owner].get(k) is not v]
-        assert changed == [], owner
+    _assert_restored(before)
     assert screening.tanimoto is plain_tanimoto
+
+
+def _similarity_round(workloads, inputs):
+    """Run every op of one ``Similarity`` round on fresh molecules; return its digest."""
+    similarity = workloads.Similarity(inputs)
+    results = [similarity.run_op(i) for i in range(similarity.round_ops)]
+    assert all(r.failed == [] and r.rejected == [] for r in results)
+    outputs = [results[-1].output]
+    assert similarity.check(outputs) == []
+    return similarity.digest(outputs)
+
+
+def test_bench_tracer_counts_a_similarity_round_and_uninstalls(tmp_path, monkeypatch):
+    spans = _load("spans", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    (tmp_path / "mols.smi").write_text("".join(f"{s} {name}\n" for s, name in MOLECULES))
+    untraced = _similarity_round(workloads, tmp_path)
+    before = _ilkit_attributes()
+
+    tracer = spans.Tracer()
+    workloads.install_tracing(tracer)
+    try:
+        traced = _similarity_round(workloads, tmp_path)
+    finally:
+        tracer.uninstall()
+
+    assert traced == untraced
+    # Two kinds in each molecule's op and two in the matrices; the matrices
+    # find each fingerprint kept on its molecule, through the same wrapper.
+    assert tracer.calls["fingerprints.make"] == 4 * len(MOLECULES)
+    assert tracer.calls["fingerprints.matrix"] == 2
+    assert tracer.calls["cluster"] == 1
+    _assert_restored(before)

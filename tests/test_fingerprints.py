@@ -6,6 +6,7 @@ import pytest
 from genmol import corpus
 from ilkit.chem import parse_smiles, structural_match, write_smiles
 from ilkit.descriptors.topology import heavy_distances
+from ilkit import fingerprints
 from ilkit.errors import IlkitError
 from ilkit.fingerprints import (
     Fingerprint,
@@ -17,6 +18,7 @@ from ilkit.fingerprints import (
     similarity_matrix,
     tanimoto,
 )
+from oracles import fp_oracle
 from oracles.distances_oracle import _topological_distances
 
 
@@ -185,3 +187,83 @@ def test_heavy_distances_equal_oracle_on_equality_panel(equality_panel):
                 if a < b and d >= 0:
                     got[(heavy[a], heavy[b])] = d
         assert got == _topological_distances(mol, heavy)
+
+
+def test_identifiers_and_hex_equal_frozen_oracle_on_equality_panel(equality_panel):
+    for mol in equality_panel:
+        expected = [("ecfp", r, fp_oracle.ecfp_identifiers(mol, r)) for r in range(5)]
+        expected.append(("atom_pair", 2, fp_oracle.atom_pair_identifiers(mol)))
+        for kind, radius, want in expected:
+            unfolded = make_fingerprint(mol, kind, radius, nbits=0)
+            assert unfolded.bits == want
+            for nbits in (2048, 32):
+                got = Fingerprint.from_ids(kind, unfolded.bits, nbits, radius).to_hex()
+                assert got == fp_oracle.folded_hex(want, nbits)
+
+
+# Each molecule keeps its fingerprints: the second request is a lookup.
+
+
+def _count_identifier_calls(monkeypatch) -> dict[str, int]:
+    calls = {"ecfp": 0, "atom_pair": 0}
+    for kind, name in (("ecfp", "ecfp_identifiers"), ("atom_pair", "atom_pair_identifiers")):
+        plain = getattr(fingerprints, name)
+
+        def counted(*args, _plain=plain, _kind=kind):
+            calls[_kind] += 1
+            return _plain(*args)
+
+        monkeypatch.setattr(fingerprints, name, counted)
+    return calls
+
+
+def test_make_fingerprint_returns_the_kept_fingerprint(monkeypatch):
+    calls = _count_identifier_calls(monkeypatch)
+    mol = parse_smiles("CCn1cc[n+](C)c1")
+    for kind in ("ecfp", "atom_pair"):
+        first = make_fingerprint(mol, kind)
+        assert make_fingerprint(mol, kind) is first
+    assert calls == {"ecfp": 1, "atom_pair": 1}
+    # Another molecule object of the same text computes its own.
+    again = parse_smiles("CCn1cc[n+](C)c1")
+    assert make_fingerprint(again, "ecfp") == make_fingerprint(mol, "ecfp")
+    assert calls == {"ecfp": 2, "atom_pair": 1}
+
+
+def test_similarity_matrix_reuses_kept_fingerprints(monkeypatch):
+    calls = _count_identifier_calls(monkeypatch)
+    mols = corpus(seed=17, size=12)
+    fps = {kind: [make_fingerprint(m, kind) for m in mols] for kind in ("ecfp", "atom_pair")}
+    assert calls == {"ecfp": len(mols), "atom_pair": len(mols)}
+    calls.update(ecfp=0, atom_pair=0)
+    for kind in ("ecfp", "atom_pair"):
+        m = similarity_matrix(mols, kind)
+        assert m[0, 1] == tanimoto(fps[kind][0], fps[kind][1])
+    assert calls == {"ecfp": 0, "atom_pair": 0}
+
+
+def test_each_radius_and_width_is_its_own_entry(monkeypatch):
+    calls = _count_identifier_calls(monkeypatch)
+    mol = parse_smiles("OCC(=O)[O-]")
+    variants = [(1, 2048), (2, 2048), (2, 64), (2, 0)]
+    fps = [make_fingerprint(mol, "ecfp", r, n) for r, n in variants]
+    assert calls["ecfp"] == len(variants)
+    for (r, n), fp in zip(variants, fps):
+        assert (fp.radius, fp.nbits) == (r, n)
+        assert fp == make_fingerprint(parse_smiles("OCC(=O)[O-]"), "ecfp", r, n)
+        assert make_fingerprint(mol, "ecfp", r, n) is fp
+    assert make_fingerprint(mol, "atom_pair", nbits=64).nbits == 64
+    assert make_fingerprint(mol, "atom_pair", nbits=2048).nbits == 2048
+
+
+def test_unknown_kind_or_bad_radius_raises_every_time_and_keeps_nothing():
+    mol = parse_smiles("CCO")
+    kept = make_fingerprint(mol, "ecfp")
+    before = dict(mol._derived)
+    for _ in range(2):
+        with pytest.raises(IlkitError, match="unknown fingerprint kind"):
+            make_fingerprint(mol, "maccs")
+        with pytest.raises(IlkitError, match="radius"):
+            make_fingerprint(mol, "ecfp", radius=5)
+    assert mol._derived == before
+    assert make_fingerprint(mol, "ecfp") is kept

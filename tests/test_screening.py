@@ -4,11 +4,13 @@ import random
 import pytest
 
 from genmol import random_molecule
+from ilkit import screening
 from ilkit.chem import canonicalize, parse_smiles
 from ilkit.datasets import SystemRecord, validate_record
-from ilkit.errors import SearchError
+from ilkit.errors import IlkitError, SearchError
 from ilkit.fingerprints import ecfp, tanimoto
 from ilkit.screening import (
+    FingerprintCache,
     LookupPredictor,
     SearchConfig,
     beam_search,
@@ -399,3 +401,34 @@ def test_packed_search_equals_per_pair_over_two_roles():
     for floor in (0.1, 0.3):
         cfg = SearchConfig(objective="maximize", beam_width=5, iterations=4, similarity_floor=floor)
         _assert_same_search([seed], {"cation": cations, "anion": anions}, predictor, cfg)
+
+
+def test_repeated_searches_over_one_pool_equal_per_pair_and_prepare_it_once(monkeypatch):
+    pool, _target, predictor = _pool_and_predictor(seed=12, size=150)
+    calls = []
+    plain = screening.canonicalize
+    monkeypatch.setattr(screening, "canonicalize", lambda s: calls.append(s) or plain(s))
+    cfg = SearchConfig(objective="maximize", beam_width=6, iterations=4, similarity_floor=0.3)
+    for seed in (pool[5], pool[6], pool[5]):
+        _assert_same_search([_seed_record(seed)], {"anion": pool}, predictor, cfg)
+    # The pool is prepared: a further search canonicalizes only the seed's three roles.
+    calls.clear()
+    beam_search([_seed_record(pool[7])], {"anion": pool}, predictor, cfg)
+    assert len(calls) == 3
+    # The prepared pool is shared between searches and cannot be written to.
+    _smiles, _fps, (words, counts) = screening._search_pool("anion", pool, FingerprintCache())
+    assert not words.flags.writeable and not counts.flags.writeable
+
+
+def test_bad_pool_smiles_raises_on_every_search():
+    pool, _target, predictor = _pool_and_predictor(seed=5, size=30)
+    cfg = SearchConfig(iterations=2)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(IlkitError) as info:
+            beam_search([_seed_record(pool[0])], {"anion": [*pool, "CC(C"]}, predictor, cfg)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    for _ in range(2):
+        with pytest.raises(SearchError, match="pool for role 'anion' is empty"):
+            beam_search([_seed_record(pool[0])], {"anion": []}, predictor, cfg)
