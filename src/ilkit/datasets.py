@@ -27,10 +27,18 @@ from .errors import RecordError, SchemaError
 from .featurize import CATEGORIES, CATEGORY_ROLES, ROLE_ORDER
 
 SCHEMA_VERSION = 1
-CSV_COLUMNS = (
-    "cation", "anion", "solute", "solvent",
-    "temperature_K", "category", "property", "value", "source_id",
+# The record schema in file order: CSV column / JSONL key, SystemRecord
+# attribute, kind. CSV cells of kind "kept" read as they are; other empty
+# cells read as None and "number" cells are parsed. An absent JSONL key reads
+# as "" for "kept" and None otherwise.
+_RECORD_FIELDS = (
+    ("cation", "cation", "text"), ("anion", "anion", "text"),
+    ("solute", "solute", "text"), ("solvent", "solvent", "text"),
+    ("temperature_K", "temperature", "number"), ("category", "category", "kept"),
+    ("property", "property", "text"), ("value", "value", "number"),
+    ("source_id", "source_id", "kept"),
 )
+CSV_COLUMNS = tuple(key for key, _, _ in _RECORD_FIELDS)
 
 PROPERTIES = {
     "solvation_dg": "kcal/mol",
@@ -80,18 +88,8 @@ class SystemRecord:
         return (self.cation, self.anion, self.solute, self.solvent)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "cation": self.cation,
-            "anion": self.anion,
-            "solute": self.solute,
-            "solvent": self.solvent,
-            "temperature_K": self.temperature,
-            "category": self.category,
-            "property": self.property,
-            "value": self.value,
-            "source_id": self.source_id,
-        }
+        fields = {key: getattr(self, attr) for key, attr, _ in _RECORD_FIELDS}
+        return {"schema_version": SCHEMA_VERSION, **fields}
 
 
 def validate_record(rec: SystemRecord, where: str = "record") -> SystemRecord:
@@ -146,7 +144,10 @@ def validate_record(rec: SystemRecord, where: str = "record") -> SystemRecord:
     return replace(rec, **roles)
 
 
-def _csv_number(cell: str, where: str) -> float | None:
+def _from_csv(cell: str, kind: str, where: str) -> str | float | None:
+    """One CSV cell read as its ``_RECORD_FIELDS`` kind."""
+    if kind == "kept" or (kind == "text" and cell):
+        return cell
     if not cell:
         return None
     try:
@@ -155,47 +156,34 @@ def _csv_number(cell: str, where: str) -> float | None:
         raise SchemaError(f"{where}: {cell!r} is not a number") from None
 
 
-def _format_float(x: float) -> str:
-    return format(x, ".9g")
+def _to_csv(x) -> str:
+    """A record attribute as a CSV cell: None is empty, numbers keep 9 digits."""
+    return "" if x is None else x if isinstance(x, str) else format(x, ".9g")
 
 
-def save_records(records: Sequence[SystemRecord], path: str | Path, fmt: str | None = None) -> None:
+def save_records(records: Sequence[SystemRecord], path: str | Path) -> None:
+    """Write JSONL when the path ends in ``.jsonl``, CSV otherwise."""
     path = Path(path)
-    fmt = fmt or ("jsonl" if path.suffix == ".jsonl" else "csv")
-    if fmt == "csv":
+    if path.suffix != ".jsonl":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for rec in records:
-                writer.writerow(
-                    [
-                        rec.cation or "",
-                        rec.anion or "",
-                        rec.solute or "",
-                        rec.solvent or "",
-                        _format_float(rec.temperature) if rec.temperature is not None else "",
-                        rec.category,
-                        rec.property or "",
-                        _format_float(rec.value) if rec.value is not None else "",
-                        rec.source_id,
-                    ]
-                )
-    elif fmt == "jsonl":
+                writer.writerow([_to_csv(getattr(rec, attr)) for _, attr, _ in _RECORD_FIELDS])
+    else:
         with open(path, "w") as fh:
             for rec in records:
                 fh.write(json.dumps(rec.to_json_dict()) + "\n")
-    else:
-        raise SchemaError(f"unknown format {fmt!r}")
 
 
-def load_records(path: str | Path, fmt: str | None = None) -> list[SystemRecord]:
+def load_records(path: str | Path) -> list[SystemRecord]:
     """Load and validate records; duplicate keys must agree within 1e-9.
 
-    Each row is validated and de-duplicated as it is read, so the first bad
+    A path ending in ``.jsonl`` is read as JSONL, any other as CSV. Each
+    row is validated and de-duplicated as it is read, so the first bad
     line in file order raises and no copy of the raw rows is kept.
     """
     path = Path(path)
-    fmt = fmt or ("jsonl" if path.suffix == ".jsonl" else "csv")
     out: list[SystemRecord] = []
     seen: dict[tuple, tuple[int, float | None]] = {}
 
@@ -213,7 +201,7 @@ def load_records(path: str | Path, fmt: str | None = None) -> list[SystemRecord]
         seen[key] = (len(out), rec.value)
         out.append(rec)
 
-    if fmt == "csv":
+    if path.suffix != ".jsonl":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -227,19 +215,10 @@ def load_records(path: str | Path, fmt: str | None = None) -> list[SystemRecord]
                 if len(row) != len(CSV_COLUMNS):
                     raise SchemaError(f"{path}: row {lineno} has {len(row)} fields")
                 where = f"{path}:{lineno}"
-                rec = SystemRecord(
-                    cation=row[0] or None,
-                    anion=row[1] or None,
-                    solute=row[2] or None,
-                    solvent=row[3] or None,
-                    temperature=_csv_number(row[4], where),
-                    category=row[5],
-                    property=row[6] or None,
-                    value=_csv_number(row[7], where),
-                    source_id=row[8],
-                )
-                add(where, rec)
-    elif fmt == "jsonl":
+                cells = zip(row, _RECORD_FIELDS)
+                fields = {attr: _from_csv(cell, kind, where) for cell, (_, attr, kind) in cells}
+                add(where, SystemRecord(**fields))
+    else:
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -265,20 +244,9 @@ def load_records(path: str | Path, fmt: str | None = None) -> list[SystemRecord]
                         f"{path}:{lineno}: unit mismatch: {prop} uses "
                         f"{PROPERTIES.get(prop)}, got {units!r}"
                     )
-                rec = SystemRecord(
-                    cation=obj.get("cation"),
-                    anion=obj.get("anion"),
-                    solute=obj.get("solute"),
-                    solvent=obj.get("solvent"),
-                    temperature=obj.get("temperature_K"),
-                    category=obj.get("category", ""),
-                    property=prop,
-                    value=obj.get("value"),
-                    source_id=obj.get("source_id", ""),
-                )
-                add(f"{path}:{lineno}", rec)
-    else:
-        raise SchemaError(f"unknown format {fmt!r}")
+                fields = {attr: obj.get(key, "" if kind == "kept" else None)
+                          for key, attr, kind in _RECORD_FIELDS}
+                add(f"{path}:{lineno}", SystemRecord(**fields))
     return out
 
 

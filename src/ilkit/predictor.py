@@ -161,26 +161,24 @@ class MLPModel:
             return 1.0 - t * t
         return (pre > 0).astype(float)
 
-    def forward(self, Z: np.ndarray) -> np.ndarray:
-        h = Z
+    def _layers(self, Z: np.ndarray):
+        """(pre-activations, activations from Z on, output) of one forward pass."""
+        pres = []
+        acts = [Z]
         for k in range(len(self.weights) - 1):
-            h = self._act(h @ self.weights[k] + self.biases[k])
-        return (h @ self.weights[-1] + self.biases[-1]).ravel()
+            pres.append(acts[-1] @ self.weights[k] + self.biases[k])
+            acts.append(self._act(pres[-1]))
+        return pres, acts, (acts[-1] @ self.weights[-1] + self.biases[-1]).ravel()
+
+    def forward(self, Z: np.ndarray) -> np.ndarray:
+        return self._layers(Z)[2]
 
     def predict_features(self, X: np.ndarray) -> np.ndarray:
         return self.forward(self.standardizer.transform(np.atleast_2d(X)))
 
     def loss_and_gradients(self, Z: np.ndarray, y: np.ndarray):
         """Mean-squared-error loss and gradients for standardized inputs."""
-        pres = []
-        acts = [Z]
-        h = Z
-        for k in range(len(self.weights) - 1):
-            pre = h @ self.weights[k] + self.biases[k]
-            h = self._act(pre)
-            pres.append(pre)
-            acts.append(h)
-        out = (h @ self.weights[-1] + self.biases[-1]).ravel()
+        pres, acts, out = self._layers(Z)
         err = out - y
         loss = float(np.mean(err**2))
 

@@ -93,20 +93,25 @@ def _sort_key(cand: Candidate, minimize: bool):
     return (v, tuple(x or "" for x in cand.roles_key()))
 
 
+def _seed_candidates(records: Sequence[SystemRecord], predictor: Callable) -> dict[tuple, Candidate]:
+    """One scored seed candidate per distinct role tuple, from its first record."""
+    seeds: dict[tuple, Candidate] = {}
+    for rec in records:
+        key = rec.roles_key()
+        if key not in seeds:
+            scoring = replace(rec, property=None, value=None)
+            seeds[key] = Candidate(scoring, float(predictor(scoring)), "seed")
+    return seeds
+
+
 def top_k_seeds(records: Sequence[SystemRecord], predictor: Callable, config: SearchConfig) -> SearchResult:
     """Best k distinct role tuples from the records under the objective."""
     config.validate()
     if not records:
         raise SearchError("top_k_seeds needs a non-empty record list")
     minimize = config.objective == "minimize"
-    seen: dict[tuple, Candidate] = {}
-    for rec in records:
-        key = rec.roles_key()
-        if key in seen:
-            continue
-        scoring = replace(rec, property=None, value=None)
-        seen[key] = Candidate(scoring, float(predictor(scoring)), "seed")
-    ranked = sorted(seen.values(), key=lambda c: _sort_key(c, minimize))
+    seeds = _seed_candidates(records, predictor)
+    ranked = sorted(seeds.values(), key=lambda c: _sort_key(c, minimize))
     underfilled = config.top_k > len(ranked)
     return SearchResult(tuple(ranked[: config.top_k]), tuple(ranked[:1]), 0, underfilled)
 
@@ -201,19 +206,7 @@ def beam_search(
         raise ConfigError("fingerprint cache parameters do not match the search config")
     fps = fingerprints or FingerprintCache(config.fingerprint, config.radius, config.nbits)
     pools = {role: _search_pool(role, pool, fps) for role, pool in pools.items()}
-    score_cache: dict[tuple, float] = {}
-
-    def score(record: SystemRecord) -> float:
-        key = record.roles_key()
-        if key not in score_cache:
-            score_cache[key] = float(predictor(record))
-        return score_cache[key]
-
-    seed_cands: dict[tuple, Candidate] = {}
-    for rec in seeds:
-        scoring = replace(rec, property=None, value=None)
-        cand = Candidate(scoring, score(scoring), "seed")
-        seed_cands.setdefault(cand.roles_key(), cand)
+    seed_cands = _seed_candidates(seeds, predictor)
 
     def best_of(cands) -> Candidate:
         return min(cands, key=lambda c: _sort_key(c, minimize))
@@ -258,7 +251,7 @@ def beam_search(
                     if key in all_scored or key in expansions:
                         continue
                     expansions[key] = Candidate(
-                        new_rec, score(new_rec), "expanded",
+                        new_rec, float(predictor(new_rec)), "expanded",
                         parent_key=cand.roles_key(), similarity=sim, iteration=iteration,
                     )
         if iteration == 1 and any_candidate and not any_neighbor:

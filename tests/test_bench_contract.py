@@ -6,17 +6,19 @@ module and class attributes (``screening.tanimoto``,
 that drops or renames one of those names breaks every traced benchmark
 run. These tests load both files by path, unchanged, trace one small
 ``screen`` search and one small ``similarity`` round through the
-benchmark's own workloads, and check the counters, the output digest and
-that uninstalling restores every attribute.
+benchmark's own workloads, and check the counters, that a traced round has
+the untraced round's output digest and that uninstalling restores every
+attribute.
 """
 
 import csv
 import importlib.util
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 from ilkit import predictor, screening
-from ilkit.chem import canonicalize
+from ilkit.chem import canonicalize, table
 from ilkit.datasets import SystemRecord
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -109,6 +111,32 @@ def test_bench_tracer_counts_a_search_and_uninstalls(tmp_path, monkeypatch):
 
     _assert_restored(before)
     assert screening.tanimoto is plain_tanimoto
+
+
+def _screen_round(workloads, inputs, monkeypatch):
+    """Run one ``Screen`` round from an empty molecule table; return its digest."""
+    monkeypatch.setattr(table, "_entries", OrderedDict())
+    screen = workloads.Screen(inputs)
+    results = [screen.run_op(i) for i in range(screen.round_ops)]
+    assert all(r.failed == [] for r in results)
+    return screen.digest([r.output for r in results])
+
+
+def test_bench_tracer_leaves_a_screen_round_unchanged(tmp_path, monkeypatch):
+    spans = _load("spans", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    inputs = _screen_inputs(tmp_path)
+    untraced = _screen_round(workloads, inputs, monkeypatch)
+
+    tracer = spans.Tracer()
+    workloads.install_tracing(tracer)
+    try:
+        traced = _screen_round(workloads, inputs, monkeypatch)
+    finally:
+        tracer.uninstall()
+
+    assert traced == untraced
+    assert tracer.calls["screening.search"] == 1
 
 
 def _similarity_round(workloads, inputs):

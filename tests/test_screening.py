@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -401,6 +402,22 @@ def test_packed_search_equals_per_pair_over_two_roles():
     for floor in (0.1, 0.3):
         cfg = SearchConfig(objective="maximize", beam_width=5, iterations=4, similarity_floor=floor)
         _assert_same_search([seed], {"cation": cations, "anion": anions}, predictor, cfg)
+
+
+def test_packed_search_equals_per_pair_on_duplicate_seeds():
+    pool, _target, predictor = _pool_and_predictor(seed=13, size=120)
+    seed = _seed_record(pool[4])
+    # The same role tuple respelled (CO2 is not written canonically) and labelled.
+    respelled = SystemRecord("il_solute", cation=EMIM, anion=pool[4], solute=CO2, temperature=298.15)
+    assert respelled.solute != seed.solute
+    labelled = replace(seed, property="solvation_dg", value=-1.5, source_id="lit")
+    cfg = SearchConfig(objective="maximize", beam_width=4, iterations=3, similarity_floor=0.3)
+    seeds = [respelled, _seed_record(pool[9]), labelled]
+    result = _assert_same_search(seeds, {"anion": pool}, predictor, cfg)
+    kept = [c.record for c in result.ranked if c.provenance == "seed"]
+    assert sorted(kept, key=lambda r: r.anion) == sorted(
+        [seed, _seed_record(pool[9])], key=lambda r: r.anion
+    )
 
 
 def test_repeated_searches_over_one_pool_equal_per_pair_and_prepare_it_once(monkeypatch):
