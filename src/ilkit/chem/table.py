@@ -1,6 +1,6 @@
 """Process-wide molecule table: each SMILES text is canonicalized once.
 
-One bounded store holds two kinds of entry:
+One bounded store holds three kinds of entry:
 
 - input text -> canonical SMILES, filled by ``ilkit.chem.canonicalize``;
 - (canonical SMILES, key) -> a value derived from the molecule parsed from
@@ -8,6 +8,11 @@ One bounded store holds two kinds of entry:
   gives (``"descriptors"``, a fingerprint's kind/radius/width, ...);
 - any other key a caller fills through ``memo``, such as a beam-search
   pool prepared under its texts and fingerprint parameters.
+
+``sighted`` is the first-sight entry: for a text not yet in the table it
+parses the text once and fills both the text's canonical SMILES and one
+derived value from that molecule, so a value that does not depend on atom
+numbering (a fingerprint, not a descriptor row) costs no second parse.
 
 Entries are strings and derived values, never ``Molecule`` objects. Every
 value is a pure function of its key, so neither eviction (oldest entry
@@ -53,3 +58,20 @@ def derived(canonical: str, key: Hashable, compute: Callable[[Molecule], T]) -> 
     different entry with possibly different floating-point bits.
     """
     return memo((canonical, key), lambda: compute(parse_smiles(canonical)))
+
+
+def sighted(text: str, key: Hashable, compute: Callable[[Molecule], T]) -> tuple[str, T]:
+    """(canonical SMILES, ``compute`` of the molecule) of any SMILES text,
+    memoized under the entries of ``canonicalize(text)`` and ``derived``.
+
+    An unseen text is parsed once and both entries come from that molecule,
+    so ``compute`` must not depend on atom numbering. Fingerprints qualify;
+    descriptor rows do not (their last bits can differ) and stay on
+    ``derived``. A known text falls back to ``derived``.
+    """
+    canonical = _entries.get(text)
+    if canonical is not None:
+        return canonical, derived(canonical, key, compute)
+    mol = parse_smiles(text)
+    canonical = memo(text, lambda: mol.canonical_smiles)
+    return canonical, memo((canonical, key), lambda: compute(mol))

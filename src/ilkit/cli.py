@@ -559,6 +559,10 @@ def main(argv: list[str] | None = None) -> int:
     except IlkitError as exc:
         sys.stderr.write(f"error[{exc.code}]: {exc}\n")
         return 1
+    except OSError as exc:
+        where = f": {exc.filename}" if exc.filename is not None else ""
+        sys.stderr.write(f"error[io]: {exc.strerror or exc}{where}\n")
+        return 1
 
 
 if __name__ == "__main__":

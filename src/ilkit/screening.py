@@ -141,9 +141,15 @@ class FingerprintCache:
 
     def get(self, smiles: str):
         """Fingerprint of a canonical SMILES."""
-        return table.derived(
-            smiles, self._key, lambda mol: make_fingerprint(mol, self.kind, self.radius, self.nbits)
-        )
+        return table.derived(smiles, self._key, self._make)
+
+    def sighted(self, text: str) -> tuple:
+        """(canonical SMILES, fingerprint) of any SMILES text; a text seen for
+        the first time is parsed once for both."""
+        return table.sighted(text, self._key, self._make)
+
+    def _make(self, mol):
+        return make_fingerprint(mol, self.kind, self.radius, self.nbits)
 
 
 def _search_pool(role: str, pool: Sequence[str], fps: FingerprintCache) -> tuple:
@@ -156,10 +162,11 @@ def _search_pool(role: str, pool: Sequence[str], fps: FingerprintCache) -> tuple
     """
 
     def prepare():
-        smiles = tuple(sorted({canonicalize(s) for s in pool}))
+        sighted = dict(fps.sighted(s) for s in pool)
+        smiles = tuple(sorted(sighted))
         if not smiles:
             raise SearchError(f"pool for role {role!r} is empty")
-        pool_fps = tuple(fps.get(s) for s in smiles)
+        pool_fps = tuple(sighted[s] for s in smiles)
         if not fps.nbits:
             return smiles, pool_fps, None
         words, counts = pack(pool_fps, fps.nbits)

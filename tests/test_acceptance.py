@@ -372,17 +372,17 @@ def test_criterion_08_published_ranking_reproduction():
     assert [c.value for c in by_value] == [v for _c, v in _CATION_CHAIN]
 
 
-def _screening_pool(rng, size):
-    """Deduplicated-by-fingerprint pool with a built-in similarity family."""
+def _screening_pool(rng, size, cache):
+    """Deduplicated-by-fingerprint pool with a built-in similarity family:
+    canonical SMILES -> fingerprint, in the order they were admitted."""
     seen = set()
-    pool = []
+    pool = {}
 
     def admit(smi):
-        smi = canonicalize(smi)
-        bits = ecfp(parse_smiles(smi)).bits
-        if bits not in seen:
-            seen.add(bits)
-            pool.append(smi)
+        smi, fp = cache.sighted(smi)
+        if fp.bits not in seen:
+            seen.add(fp.bits)
+            pool[smi] = fp
 
     for _ in range(max(10, size // 15)):
         chain = "C" * rng.randint(5, 12)
@@ -406,9 +406,9 @@ def test_criterion_09_search():
     pool; exhaustive-width equals brute force on 50 random pools; the running
     best is monotone in every run."""
     rng = random.Random(606)
-    pool = _screening_pool(rng, 2000)
     cache = FingerprintCache()
-    fps = {smi: cache.get(smi) for smi in pool}
+    fps = _screening_pool(rng, 2000, cache)
+    pool = list(fps)
     target = pool[0]
     target_fp = fps[target]
 

@@ -7,8 +7,8 @@ that drops or renames one of those names breaks every traced benchmark
 run. These tests load both files by path, unchanged, trace one small
 ``screen`` search and one small ``similarity`` round through the
 benchmark's own workloads, and check the counters, that a traced round has
-the untraced round's output digest and that uninstalling restores every
-attribute.
+the untraced round's output digest, that the untraced digests equal pinned
+values and that uninstalling restores every attribute.
 """
 
 import csv
@@ -36,6 +36,12 @@ MOLECULES = [
     (EMIM, "emim"), ("CC(=O)[O-]", "acetate"), ("FC(F)(F)S(=O)(=O)[O-]", "triflate"),
     ("c1ccccc1O", "phenol"), ("CCCCN", "butylamine"), ("OCC(=O)[O-]", "glycolate"),
 ]
+
+# Round digests of the two rounds below. A change that alters a search
+# ranking, a canonical SMILES, a descriptor, a fingerprint, a matrix or a
+# leaf order on purpose regenerates them and says which output moved.
+SCREEN_DIGEST = "18b448729aac9976"
+SIMILARITY_DIGEST = "070348ac90555089"
 
 
 def _load(name: str, monkeypatch):
@@ -135,6 +141,7 @@ def test_bench_tracer_leaves_a_screen_round_unchanged(tmp_path, monkeypatch):
     finally:
         tracer.uninstall()
 
+    assert untraced == SCREEN_DIGEST
     assert traced == untraced
     assert tracer.calls["screening.search"] == 1
 
@@ -154,6 +161,7 @@ def test_bench_tracer_counts_a_similarity_round_and_uninstalls(tmp_path, monkeyp
     workloads = _load("workloads", monkeypatch)
     (tmp_path / "mols.smi").write_text("".join(f"{s} {name}\n" for s, name in MOLECULES))
     untraced = _similarity_round(workloads, tmp_path)
+    assert untraced == SIMILARITY_DIGEST
     before = _ilkit_attributes()
 
     tracer = spans.Tracer()

@@ -1,14 +1,25 @@
-"""Property test: the canonical SMILES does not depend on atom order.
+"""Property tests: identities and fingerprints do not depend on atom order.
 
 Each molecule is re-written with ``write_smiles(mol, order)`` under atom
-orders drawn by hypothesis (derandomized, so runs are repeatable) and must
-canonicalize to the same string.
+orders drawn by hypothesis (derandomized, so runs are repeatable). The
+respelling must canonicalize to the same string, and its first-sight
+fingerprints (one parse for the canonical SMILES and the fingerprint) must
+equal the fingerprints of the canonical SMILES's own parse, whatever the
+molecule table already holds. Mutated fixture-ion SMILES must be rejected
+with an ``IlkitError`` or reach a fixed point with the same ECFP.
 """
+
+import functools
+from collections import OrderedDict
 
 import pytest
 
+from conftest import load_ions
 from genmol import HYPERVALENT_ANIONS, SYMMETRIC_PANEL, corpus
-from ilkit.chem import canonicalize, parse_smiles, write_smiles
+from ilkit.chem import canonicalize, parse_smiles, table, write_smiles
+from ilkit.errors import IlkitError
+from ilkit.fingerprints import make_fingerprint
+from ilkit.screening import FingerprintCache
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -26,3 +37,79 @@ def test_canonical_smiles_invariant_under_atom_order(name, data):
     mol = MOLECULES[name]
     order = data.draw(st.permutations(range(len(mol.atoms))), label="order")
     assert canonicalize(write_smiles(mol, order)) == mol.canonical_smiles
+
+
+CACHES = [FingerprintCache(kind, 2, nbits) for kind in ("ecfp", "atom_pair") for nbits in (2048, 0)]
+# Kept across every example: first sight among the entries of earlier ones.
+_WARM_ENTRIES: OrderedDict = OrderedDict()
+
+
+def _sight(entries, max_entries, text, caches):
+    """``cache.sighted(text)`` for each cache, in order, on the given table."""
+    saved = table._entries, table.MAX_ENTRIES
+    table._entries, table.MAX_ENTRIES = entries, max_entries
+    try:
+        return [cache.sighted(text) for cache in caches]
+    finally:
+        table._entries, table.MAX_ENTRIES = saved
+
+
+@functools.cache
+def _canonical_parse_fingerprints(name):
+    canonical = MOLECULES[name].canonical_smiles
+    return [
+        (canonical, make_fingerprint(parse_smiles(canonical), c.kind, c.radius, c.nbits))
+        for c in CACHES
+    ]
+
+
+@pytest.mark.parametrize("name", list(MOLECULES))
+@hypothesis.settings(max_examples=3, derandomize=True, database=None, deadline=None)
+@hypothesis.given(data=st.data())
+def test_first_sight_fingerprints_equal_the_canonical_parse(name, data):
+    mol = MOLECULES[name]
+    text = write_smiles(mol, data.draw(st.permutations(range(len(mol.atoms))), label="order"))
+    want = _canonical_parse_fingerprints(name)
+    limit = table.MAX_ENTRIES
+    # Cold: every fingerprint from a first parse of the respelling.
+    assert [_sight(OrderedDict(), limit, text, [c])[0] for c in CACHES] == want
+    assert _sight(_WARM_ENTRIES, limit, text, CACHES) == want
+    # Four entries: texts and fingerprints are evicted between the sightings.
+    assert _sight(OrderedDict(), 4, text, CACHES * 2) == want * 2
+
+
+# Single characters and multi-character tokens a mutation may insert.
+_TOKENS = list("CNOSPBFcnos()[]=#-+@/\\.123%H") + ["Cl", "Br", "[nH]", "[O-]", "[N+]", "[C@@H]", "%10"]
+
+
+@st.composite
+def _mutated_ion(draw):
+    text = draw(st.sampled_from(sorted(load_ions().values())), label="ion")
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text) - 1))
+        op = draw(st.sampled_from(["delete", "insert", "replace", "swap", "repeat"]))
+        if op == "delete":
+            text = text[:i] + text[i + 1:]
+        elif op == "insert":
+            text = text[:i] + draw(st.sampled_from(_TOKENS)) + text[i:]
+        elif op == "replace":
+            text = text[:i] + draw(st.sampled_from(_TOKENS)) + text[i + 1:]
+        elif op == "swap":
+            text = text[:i] + text[i + 1:i + 2] + text[i:i + 1] + text[i + 2:]
+        else:
+            j = draw(st.integers(i, len(text)))
+            text = text[:j] + text[i:j] + text[j:]
+        if not text:
+            break
+    return text
+
+
+@hypothesis.settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@hypothesis.given(text=_mutated_ion())
+def test_mutated_ion_smiles_are_rejected_or_reach_a_fixed_point(text):
+    try:
+        [(canonical, fp)] = _sight(OrderedDict(), table.MAX_ENTRIES, text, CACHES[:1])
+    except IlkitError:
+        return
+    assert canonicalize(canonical) == canonical
+    assert fp == make_fingerprint(parse_smiles(canonical), "ecfp", 2, 2048)

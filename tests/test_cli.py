@@ -105,6 +105,27 @@ def test_bad_smiles_names_its_line(tmp_path, command):
     assert err == "error[smiles-syntax]: line 2: unclosed ring bond(s): 1\n"
 
 
+def _missing_file_args(tmp_path, which):
+    missing = str(tmp_path / "nonexist")
+    if which == "records":
+        return missing, ["split", missing, "--scheme", "cation"]
+    if which == "smiles":
+        return missing, ["canonicalize", missing]
+    records = _records_csv(tmp_path, [f"{EMIM},{SCN},{CO2},,298.15,il_solute,solvation_dg,-0.5,r0"])
+    pool = tmp_path / "pool.smi"
+    pool.write_text(f"{SCN}\nN#C[N-]C#N\n")
+    return missing, ["search", records, "--anion-pool", str(pool), "--model", missing]
+
+
+@pytest.mark.parametrize("which", ["records", "smiles", "model"])
+def test_missing_input_file_is_one_error_line(tmp_path, which):
+    missing, args = _missing_file_args(tmp_path, which)
+    code, out, err = run_cli(args)
+    assert code == 1
+    assert out == ""
+    assert err == f"error[io]: No such file or directory: {missing}\n"
+
+
 def test_similarity_matrix_and_order(tmp_path):
     smi = tmp_path / "mols.smi"
     smi.write_text("c1ccccc1\nCc1ccccc1\nCCO\n")

@@ -4,12 +4,12 @@ import tracemalloc
 import pytest
 
 from genmol import corpus
-from ilkit.chem import canonicalize, parse_smiles, table, write_smiles
+from ilkit.chem import canon, canonicalize, parse_smiles, table, write_smiles
 from ilkit.datasets import SystemRecord, descriptor_values, load_records, save_records
 from ilkit.descriptors import compute_descriptors
 from ilkit.errors import IlkitError
 from ilkit.fingerprints import make_fingerprint
-from ilkit.screening import FingerprintCache, SearchConfig, beam_search
+from ilkit.screening import FingerprintCache, SearchConfig, _search_pool, beam_search
 
 
 def _respellings(seed: int, size: int) -> list[str]:
@@ -76,6 +76,28 @@ def _pool_search():
     config = SearchConfig(beam_width=4, iterations=3, similarity_floor=0.0)
     result = beam_search([seed], {"anion": pool}, predictor, config)
     return [(c.roles_key(), c.value, c.provenance, c.similarity, c.iteration) for c in result.ranked]
+
+
+def test_pool_preparation_parses_each_text_once(monkeypatch):
+    """A cold pool: each distinct text is parsed once, for both its
+    canonical SMILES and its fingerprint, and later lookups parse nothing."""
+    # Respellings only, so no canonical entry can come from a canonical text.
+    pool = [t for t in _respellings(seed=59, size=20) if parse_smiles(t).canonical_smiles != t]
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return parse_smiles(text)
+
+    monkeypatch.setattr(table, "parse_smiles", counted)
+    monkeypatch.setattr(canon, "parse_smiles", counted)
+    table._entries.clear()
+    cache = FingerprintCache()
+    smiles, fps, _packed = _search_pool("anion", pool + pool[:5], cache)
+    assert sorted(parsed) == sorted(pool)
+    assert [cache.get(s) for s in smiles] == list(fps)
+    assert [canonicalize(t) for t in pool] == [cache.sighted(t)[0] for t in pool]
+    assert sorted(parsed) == sorted(pool)
 
 
 def _load(tmp_path):
