@@ -17,9 +17,11 @@ import sys
 from collections import OrderedDict
 from pathlib import Path
 
+import numpy as np
+
 from ilkit import predictor, screening
 from ilkit.chem import canonicalize, table
-from ilkit.datasets import SystemRecord
+from ilkit.datasets import SystemRecord, save_records
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,11 +39,30 @@ MOLECULES = [
     ("c1ccccc1O", "phenol"), ("CCCCN", "butylamine"), ("OCC(=O)[O-]", "glycolate"),
 ]
 
-# Round digests of the two rounds below. A change that alters a search
+# Ingest pass: ten cations with eight records each, so that every
+# cation-split training fold holds the 64 rows of the benchmark's MLP
+# batch. Half of the ions are respelled from another atom order
+# (written, respelled).
+CV_CATIONS = [
+    ("CCn1cc[n+](C)c1", "c1[n+](C)ccn1CC"), ("CCCn1cc[n+](C)c1", "C[n+]1ccn(CCC)c1"),
+    ("CCCCn1cc[n+](C)c1", "c1cn(CCCC)c[n+]1C"), ("CCCCCn1cc[n+](C)c1", "n1(CCCCC)cc[n+](C)c1"),
+    ("CCCCCCn1cc[n+](C)c1", "C(CCCCC)n1c[n+](C)cc1"), ("CCCC[n+]1ccccc1", "c1cc[n+](CCCC)cc1"),
+    ("CCCC[N+](C)(C)C", "C[N+](C)(CCCC)C"), ("CC[N+]1(C)CCCC1", "C1CC[N+](C)(CC)C1"),
+    ("CCCCCCCCn1cc[n+](C)c1", "C(CCCCCCC)n1cc[n+](C)c1"), ("CC[n+]1ccccc1", "c1ccc[n+](CC)c1"),
+]
+CV_ANIONS = [
+    ("CC(=O)[O-]", "[O-]C(C)=O"), ("CCC(=O)[O-]", "O=C([O-])CC"),
+    ("CS(=O)(=O)[O-]", "[O-]S(C)(=O)=O"), ("FC(F)(F)S(=O)(=O)[O-]", "O=S(=O)([O-])C(F)(F)F"),
+    ("N#C[N-]C#N", "[N-](C#N)C#N"),
+]
+CV_SOLUTES = ["O=C=O", "CCO", "c1ccccc1"]
+
+# Round digests of the three rounds below. A change that alters a search
 # ranking, a canonical SMILES, a descriptor, a fingerprint, a matrix or a
 # leaf order on purpose regenerates them and says which output moved.
 SCREEN_DIGEST = "18b448729aac9976"
 SIMILARITY_DIGEST = "070348ac90555089"
+INGEST_CV_DIGEST = "eb6ac1990ac6f143"
 
 
 def _load(name: str, monkeypatch):
@@ -177,4 +198,71 @@ def test_bench_tracer_counts_a_similarity_round_and_uninstalls(tmp_path, monkeyp
     assert tracer.calls["fingerprints.make"] == 4 * len(MOLECULES)
     assert tracer.calls["fingerprints.matrix"] == 2
     assert tracer.calls["cluster"] == 1
+    _assert_restored(before)
+
+
+def _ingest_inputs(path: Path) -> Path:
+    """records.csv, expected_roles.txt and meta.json in the layout ``IngestCV`` reads."""
+    rows = [
+        (cation, CV_ANIONS[(ci + k) % len(CV_ANIONS)], CV_SOLUTES[(ci + 2 * k) % len(CV_SOLUTES)],
+         (ci + k) % 2)
+        for ci, cation in enumerate(CV_CATIONS)
+        for k in range(8)
+    ]
+    canonical = [
+        SystemRecord("il_solute", cation=canonicalize(c[0]), anion=canonicalize(a[0]),
+                     solute=canonicalize(s), temperature=298.15)
+        for c, a, s, _spelling in rows
+    ]
+    # A planted linear target over the feature rows, as the generator makes.
+    X = predictor.featurize_records(canonical)
+    y = X @ np.random.Generator(np.random.PCG64(7)).normal(size=X.shape[1]) * 0.05 + 0.1
+    written = [
+        SystemRecord("il_solute", cation=c[spelling], anion=a[spelling], solute=s,
+                     temperature=298.15, property="solvation_dg", value=float(value))
+        for (c, a, s, spelling), value in zip(rows, y)
+    ]
+    save_records(written, path / "records.csv")
+    (path / "expected_roles.txt").write_text(
+        "".join(f"{r.cation} {r.anion} {r.solute}\n" for r in canonical)
+    )
+    (path / "meta.json").write_text('{"workload": "ingest_cv", "seed": 7, "size": "test"}')
+    return path
+
+
+def _ingest_round(workloads, inputs):
+    """Run one ``IngestCV`` pass from an empty molecule table; return its digest."""
+    table._entries.clear()
+    ingest = workloads.IngestCV(inputs)
+    result = ingest.run_op(0)
+    assert result.failed == [] and result.items == 8 * len(CV_CATIONS)
+    assert ingest.check([result.output]) == []
+    return ingest.digest([result.output])
+
+
+def test_bench_tracer_counts_an_ingest_pass_and_uninstalls(tmp_path, monkeypatch):
+    spans = _load("spans", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    inputs = _ingest_inputs(tmp_path)
+    monkeypatch.setattr(table, "_entries", OrderedDict())
+    untraced = _ingest_round(workloads, inputs)
+    assert untraced == INGEST_CV_DIGEST
+    before = _ilkit_attributes()
+
+    tracer = spans.Tracer()
+    workloads.install_tracing(tracer)
+    try:
+        traced = _ingest_round(workloads, inputs)
+    finally:
+        tracer.uninstall()
+
+    assert traced == untraced
+    metrics = workloads.layer_metrics(tracer, 1.0, 1.0)
+    assert metrics["datasets.load.records"][0] == 8 * len(CV_CATIONS)
+    assert metrics["datasets.validate.calls"][0] == 8 * len(CV_CATIONS)
+    assert metrics["predictor.fit.calls"][0] == 2 * 5  # ridge and MLP on each fold
+    for name in ("chem.parse.calls", "chem.canonicalize.calls", "descriptors.calls",
+                 "predictor.featurize.rows", "evalharness.split.s", "evalharness.cv.s",
+                 "evalharness.metrics.s"):
+        assert metrics[name][0] > 0, name
     _assert_restored(before)

@@ -218,3 +218,32 @@ def test_cyclomatic_identity_simple():
     for smiles in ["CCO", "C1CC1", "c1ccc2ccccc2c1", "CCCCCCCC[N+]12CCC(CC1)CC2", "O.O"]:
         mol = parse_smiles(smiles)
         assert len(mol.rings) == len(mol.bonds) - len(mol.atoms) + len(mol.components())
+
+
+# sha256 over every field of every equality-panel molecule (see below). A
+# change to parsing, perception or canonical ranking that moves any of them
+# on purpose regenerates this and says which field moved.
+PARSED_PANEL_SHA256 = "480d83635a6014a6b246612da88787c1b88dc2b8a2e4ac31c654f7a6e436174f"
+
+
+def _parsed_fields(mol) -> tuple:
+    n = len(mol.atoms)
+    return (
+        mol.atoms,
+        mol.bonds,
+        mol.rings,
+        tuple(mol.neighbors(i) for i in range(n)),
+        tuple(mol.chiral_neighbor_order(i) for i in range(n)),
+        mol.canonical_smiles,
+        mol.canonical_order,
+    )
+
+
+def test_parsed_molecules_equal_pinned_fields_on_equality_panel(equality_panel):
+    import hashlib
+
+    h = hashlib.sha256()
+    for mol in equality_panel:
+        h.update(repr(_parsed_fields(mol)).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == PARSED_PANEL_SHA256
