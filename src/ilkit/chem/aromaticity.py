@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..errors import AromaticityError
-from .mol import AROMATIC, DOUBLE, SINGLE, TRIPLE, Atom, Bond
+from .mol import AROMATIC, DOUBLE, TRIPLE, Adjacency, Atom, Bond
 
 _HUCKEL_COUNTS = (2, 6, 10)
 _LONE_PAIR_DONORS = frozenset({"N", "P", "As", "O", "S", "Se"})
@@ -25,7 +25,7 @@ def _contribution_set(
     ring: set[int],
     atoms: list[Atom],
     bonds: list[Bond],
-    incident: list[list[int]],
+    adj: Adjacency,
     candidate_atoms: set[int],
 ) -> tuple[int, ...] | None:
     """Possible pi-electron donations of atom ``idx`` to ring ``ring``.
@@ -33,7 +33,7 @@ def _contribution_set(
     None means the atom cannot sit in an aromatic ring at all.
     """
     atom = atoms[idx]
-    n_nbrs = len(incident[idx])
+    n_nbrs = len(adj[idx])
     if n_nbrs + atom.total_h > 3:
         return None  # four sigma connections: sp3-like center
 
@@ -41,17 +41,16 @@ def _contribution_set(
     double_partners_outside: list[int] = []
     aromatic_in_ring = 0
     aromatic_outside = 0
-    for bi in incident[idx]:
-        bond = bonds[bi]
-        other = bond.other(idx)
-        if bond.order == TRIPLE:
+    for other, bi in adj[idx]:
+        order = bonds[bi].order
+        if order == TRIPLE:
             return None
-        if bond.order == DOUBLE:
+        if order == DOUBLE:
             if other in ring:
                 doubles_in_ring += 1
             else:
                 double_partners_outside.append(other)
-        elif bond.order == AROMATIC:
+        elif order == AROMATIC:
             if other in ring:
                 aromatic_in_ring += 1
             else:
@@ -121,19 +120,16 @@ def _ring_is_aromatic(sets: list[tuple[int, ...]]) -> bool:
 def perceive_aromaticity(
     atoms: list[Atom],
     bonds: list[Bond],
+    adj: Adjacency,
     rings: list[tuple[int, ...]],
 ) -> tuple[list[Atom], list[Bond]]:
     """Return atoms/bonds with perceived aromatic flags and bond orders.
 
-    ``rings`` must hold every simple cycle of size 5-7. Raises
-    AromaticityError when lowercase flags or explicit aromatic bonds cannot
-    be placed in any perceived aromatic ring.
+    ``adj`` is the molecule's ``build_adjacency``; ``rings`` must hold every
+    simple cycle of size 5-7. Raises AromaticityError when lowercase flags
+    or explicit aromatic bonds cannot be placed in any perceived aromatic
+    ring.
     """
-    incident: list[list[int]] = [[] for _ in atoms]
-    for bi, bond in enumerate(bonds):
-        incident[bond.a].append(bi)
-        incident[bond.b].append(bi)
-
     candidates = [r for r in rings if 5 <= len(r) <= 7]
     candidate_atoms = {i for r in candidates for i in r}
 
@@ -144,7 +140,7 @@ def perceive_aromaticity(
         sets = []
         ok = True
         for idx in ring:
-            s = _contribution_set(idx, ring_set, atoms, bonds, incident, candidate_atoms)
+            s = _contribution_set(idx, ring_set, atoms, bonds, adj, candidate_atoms)
             if s is None:
                 ok = False
                 break
@@ -155,9 +151,7 @@ def perceive_aromaticity(
         n = len(ring)
         for i in range(n):
             a, b = ring[i], ring[(i + 1) % n]
-            for bi in incident[a]:
-                if bonds[bi].other(a) == b:
-                    aromatic_bonds.add(bi)
+            aromatic_bonds.update(bi for v, bi in adj[a] if v == b)
 
     for idx, atom in enumerate(atoms):
         if atom.aromatic and idx not in aromatic_atoms:

@@ -6,8 +6,20 @@ from dataclasses import replace
 from typing import Iterable, Sequence
 
 from ..errors import IlkitError
-from .mol import DOUBLE, HYDROGEN_SENTINEL, Molecule, SINGLE
+from .elements import is_known_element
+from .mol import (
+    BOND_ORDER_VALUE,
+    DOUBLE,
+    HYDROGEN_SENTINEL,
+    SINGLE,
+    STEREO_CIS,
+    STEREO_NONE,
+    STEREO_TRANS,
+    Molecule,
+)
 from .parser import _RawAtom, finalize
+
+_STEREO_LABELS = (None, STEREO_NONE, STEREO_CIS, STEREO_TRANS)
 
 
 def from_graph(atoms: Iterable[dict], bonds: Iterable[Sequence]) -> Molecule:
@@ -20,16 +32,22 @@ def from_graph(atoms: Iterable[dict], bonds: Iterable[Sequence]) -> Molecule:
     frame (ascending indices, hydrogen first) is well defined.
 
     Bonds are (a, b, order) triples (order defaults to single) with an
-    optional fourth stereo entry ("cis"/"trans") interpreted relative to the
-    lowest-rank substituent on each end.
+    optional fourth stereo entry ("cis"/"trans"; None or "none" for no
+    label) interpreted relative to the lowest-rank substituent on each end.
 
+    This is where a graph from outside the parser is checked: an unknown
+    element, a bond to an atom index out of range, a bond from an atom to
+    itself, a second bond between the same two atoms, or an unknown bond
+    order or stereo label raises ``IlkitError`` naming the atom or bond.
     The same perception pipeline as SMILES parsing runs afterwards, so the
     result is indistinguishable from a parsed molecule.
     """
     raw_atoms = []
     atom_specs = list(atoms)
-    for spec in atom_specs:
-        element = spec["element"]
+    for i, spec in enumerate(atom_specs):
+        element = spec.get("element")
+        if not is_known_element(element):
+            raise IlkitError(f"atom {i}: unknown element {element!r}")
         explicit_h = spec.get("explicit_h")
         chirality = spec.get("chirality", "")
         if chirality and explicit_h is None:
@@ -49,16 +67,28 @@ def from_graph(atoms: Iterable[dict], bonds: Iterable[Sequence]) -> Molecule:
     raw_bonds = []
     stereo_requests: list[tuple[int, str]] = []
     neighbors: dict[int, list[int]] = {}
-    for spec in bonds:
+    for bi, spec in enumerate(bonds):
         if len(spec) < 2:
-            raise IlkitError("bond spec needs at least two atom indices")
+            raise IlkitError(f"bond {bi}: needs at least two atom indices")
         a, b = int(spec[0]), int(spec[1])
         order = spec[2] if len(spec) > 2 else SINGLE
+        stereo = spec[3] if len(spec) > 3 else None
+        for end in (a, b):
+            if not 0 <= end < len(raw_atoms):
+                raise IlkitError(f"bond {bi}: atom index {end} is out of range")
+        if a == b:
+            raise IlkitError(f"bond {bi} joins atom {a} to itself")
+        if b in neighbors.get(a, ()):
+            raise IlkitError(f"bond {bi}: atoms {a} and {b} are already bonded")
+        if order not in BOND_ORDER_VALUE:
+            raise IlkitError(f"bond {bi}: unknown bond order {order!r}")
+        if stereo not in _STEREO_LABELS:
+            raise IlkitError(f"bond {bi}: unknown stereo label {stereo!r}")
         raw_bonds.append([a, b, order, 0])
         neighbors.setdefault(a, []).append(b)
         neighbors.setdefault(b, []).append(a)
-        if len(spec) > 3 and spec[3] not in (None, "none"):
-            stereo_requests.append((len(raw_bonds) - 1, spec[3]))
+        if stereo not in (None, STEREO_NONE):
+            stereo_requests.append((bi, stereo))
 
     # Default chiral frame: implicit-H slot first, then neighbors ascending.
     seqs: dict[int, list] = {}
@@ -80,5 +110,5 @@ def from_graph(atoms: Iterable[dict], bonds: Iterable[Sequence]) -> Molecule:
             for i in range(len(mol.atoms))
             if mol.chiral_neighbor_order(i) is not None
         }
-        mol = Molecule(mol.atoms, tuple(new_bonds), mol.rings, chiral)
+        mol = Molecule(mol.atoms, tuple(new_bonds), mol.rings, mol.adjacency, chiral)
     return mol

@@ -27,6 +27,7 @@ from .mol import (
     TRIPLE,
     Bond,
     Molecule,
+    build_adjacency,
 )
 from .parser import parse_smiles
 
@@ -37,19 +38,15 @@ _ORDER_TOKEN = {SINGLE: "", DOUBLE: "=", TRIPLE: "#", AROMATIC: ""}
 _MAX_RANKINGS = 20000
 
 
-def _coded_neighbors(atoms, bonds) -> list[list[tuple[int, int]]]:
-    """Per atom, (bond code * atom count, neighbor) pairs.
+def _coded_neighbors(bonds, adj) -> list[list[tuple[int, int]]]:
+    """Per atom of adjacency ``adj``, (bond code * atom count, neighbor) pairs.
 
     Adding a neighbor's rank (always below the atom count) packs the pair
     (bond code, rank) into one int that sorts the way the pair would.
     """
-    n = len(atoms)
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in atoms]
-    for bond in bonds:
-        code = BOND_CODE[bond.order] * n
-        nbrs[bond.a].append((code, bond.b))
-        nbrs[bond.b].append((code, bond.a))
-    return nbrs
+    n = len(adj)
+    codes = [BOND_CODE[bond.order] * n for bond in bonds]
+    return [[(codes[bi], j) for j, bi in nbrs] for nbrs in adj]
 
 
 def _dense_ranks(keys: list) -> list[int]:
@@ -57,9 +54,11 @@ def _dense_ranks(keys: list) -> list[int]:
     return [order[k] for k in keys]
 
 
-def refinement_ranks(atoms, bonds) -> list[int]:
-    """Stable neighborhood-refined ranks; equal ranks mean indistinguishable."""
-    nbrs = _coded_neighbors(atoms, bonds)
+def refinement_ranks(atoms, nbrs) -> list[int]:
+    """Stable neighborhood-refined ranks; equal ranks mean indistinguishable.
+
+    ``nbrs`` is the molecule's ``_coded_neighbors``.
+    """
     keys = [
         (
             atomic_number(a.element),
@@ -95,7 +94,9 @@ def _refine(ranks: list[int], nbrs: list[list[tuple[int, int]]]) -> list[int]:
         ranks = new_ranks
 
 
-def _least_leaf(mol: Molecule, base: list[int]) -> tuple[str, tuple[int, ...]]:
+def _least_leaf(
+    mol: Molecule, base: list[int], nbrs: list[list[tuple[int, int]]]
+) -> tuple[str, tuple[int, ...]]:
     """First leaf of the tie tree, in depth-first order, that emits the least string.
 
     Walks the tree depth-first, individualizing each member of the lowest
@@ -108,7 +109,6 @@ def _least_leaf(mol: Molecule, base: list[int]) -> tuple[str, tuple[int, ...]]:
     string is never skipped, so the result is the one exhaustive exploration
     would give.
     """
-    nbrs = _coded_neighbors(mol.atoms, mol.bonds)
     tokens = _atom_tokens(mol)
     n = len(base)
     refs: list[tuple[str, tuple[int, ...]]] = []  # [first leaf, best leaf]
@@ -200,11 +200,12 @@ def canonical_form(mol: Molecule) -> tuple[str, tuple[int, ...]]:
     results: list[tuple[str, list[int]]] = []
     for comp in mol.components():
         sub, back = _extract_component(mol, comp)
-        base = refinement_ranks(sub.atoms, sub.bonds)
+        nbrs = _coded_neighbors(sub.bonds, sub.adjacency)
+        base = refinement_ranks(sub.atoms, nbrs)
         if len(set(base)) == len(base):
             s, order = _emit(sub, base, base)
         else:
-            s, order = _least_leaf(sub, base)
+            s, order = _least_leaf(sub, base, nbrs)
         results.append((s, [back[i] for i in order]))
     results.sort(key=lambda item: (item[0], item[1]))
     smiles = ".".join(s for s, _ in results)
@@ -222,6 +223,7 @@ def _extract_component(mol: Molecule, comp: list[int]) -> tuple[Molecule, list[i
         for b in mol.bonds
         if b.a in remap
     )
+    adj = build_adjacency(len(atoms), [(b.a, b.b) for b in bonds])
     rings = tuple(tuple(remap[i] for i in ring) for ring in mol.rings if ring[0] in remap)
     chiral = {}
     for old in comp:
@@ -230,7 +232,7 @@ def _extract_component(mol: Molecule, comp: list[int]) -> tuple[Molecule, list[i
             chiral[remap[old]] = tuple(
                 x if x == HYDROGEN_SENTINEL else remap[x] for x in seq
             )
-    return Molecule(atoms, bonds, rings, chiral), comp
+    return Molecule(atoms, bonds, rings, adj, chiral), comp
 
 
 def write_smiles(mol: Molecule, order: list[int] | tuple[int, ...] | None = None) -> str:
@@ -246,7 +248,7 @@ def write_smiles(mol: Molecule, order: list[int] | tuple[int, ...] | None = None
     ranking = [0] * len(mol.atoms)
     for pos, idx in enumerate(order):
         ranking[idx] = pos
-    base = refinement_ranks(mol.atoms, mol.bonds)
+    base = refinement_ranks(mol.atoms, _coded_neighbors(mol.bonds, mol.adjacency))
     s, _ = _emit(mol, ranking, base)
     return s
 
@@ -480,53 +482,47 @@ def _stereo_directions(mol: Molecule, visit_pos: list[int], ranks: list[int]) ->
     if not stereo_bonds:
         return {}
 
-    bond_idx: dict[tuple[int, int], int] = {}
-    for bi, b in enumerate(mol.bonds):
-        bond_idx[(min(b.a, b.b), max(b.a, b.b))] = bi
     directions: dict[int, int] = {}
 
-    def get_side(nbr: int, end: int) -> int:
-        bi = bond_idx[(min(end, nbr), max(end, nbr))]
+    def get_side(bi: int, end: int) -> int:
         if bi not in directions:
             return 0
-        b = mol.bonds[bi]
-        return directions[bi] if b.a == end else -directions[bi]
+        return directions[bi] if mol.bonds[bi].a == end else -directions[bi]
 
-    def known_side(nbr: int, end: int, skip_bi: int) -> int:
-        s = get_side(nbr, end)
+    def known_side(ref_bi: int, end: int, skip_bi: int) -> int:
+        s = get_side(ref_bi, end)
         if s:
             return s
-        for v, bi in mol.neighbors(end):
-            if bi == skip_bi or v == nbr:
+        for _v, bi in mol.neighbors(end):
+            if bi == skip_bi or bi == ref_bi:
                 continue
-            s = get_side(v, end)
+            s = get_side(bi, end)
             if s:
                 return -s
         return 0
 
-    def apply_side(nbr: int, end: int, side: int, skip_bi: int) -> None:
-        bi = bond_idx[(min(end, nbr), max(end, nbr))]
+    def apply_side(bi: int, end: int, side: int, skip_bi: int) -> None:
         if mol.bonds[bi].order != SINGLE:
             # Mark the sibling substituent with the opposite side instead.
-            for v, bi2 in mol.neighbors(end):
+            for _v, bi2 in mol.neighbors(end):
                 if bi2 != skip_bi and bi2 != bi and mol.bonds[bi2].order == SINGLE:
-                    apply_side(v, end, -side, skip_bi)
+                    apply_side(bi2, end, -side, skip_bi)
                     return
             raise IlkitError("stereo double bond lacks a single-bond substituent")
-        b = mol.bonds[bi]
-        want = side if b.a == end else -side
+        want = side if mol.bonds[bi].a == end else -side
         if bi in directions and directions[bi] != want:
             raise IlkitError("conflicting directional-bond constraints")
         directions[bi] = want
 
     def reference(end: int, skip_bi: int) -> int | None:
-        nbrs = [v for v, bi in mol.neighbors(end) if bi != skip_bi]
+        """The bond to end's lowest-ranked substituent."""
+        nbrs = [pair for pair in mol.neighbors(end) if pair[1] != skip_bi]
         if not nbrs:
             return None
-        nbrs.sort(key=lambda x: (ranks[x], visit_pos[x]))
-        if len(nbrs) == 2 and ranks[nbrs[0]] == ranks[nbrs[1]]:
+        nbrs.sort(key=lambda pair: (ranks[pair[0]], visit_pos[pair[0]]))
+        if len(nbrs) == 2 and ranks[nbrs[0][0]] == ranks[nbrs[1][0]]:
             return None
-        return nbrs[0]
+        return nbrs[0][1]
 
     for _pos, _pos2, bi in stereo_bonds:
         bond = mol.bonds[bi]

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, TypeVar
 
-from ..errors import IlkitError
-
 SINGLE = "single"
 DOUBLE = "double"
 TRIPLE = "triple"
@@ -61,26 +59,37 @@ class Bond:
     stereo: str = STEREO_NONE
     in_ring: bool = False
 
-    def other(self, idx: int) -> int:
-        if idx == self.a:
-            return self.b
-        if idx == self.b:
-            return self.a
-        raise IlkitError(f"atom {idx} is not an endpoint of bond {self.a}-{self.b}")
+
+Adjacency = tuple[tuple[tuple[int, int], ...], ...]
+
+
+def build_adjacency(n_atoms: int, pairs) -> Adjacency:
+    """Per atom, its (neighbor, bond index) pairs in ascending neighbor order.
+
+    ``pairs`` holds each bond's two atom indices, in bond order. The one
+    graph every perception and ranking step of a molecule reads.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_atoms)]
+    for bi, (a, b) in enumerate(pairs):
+        adj[a].append((b, bi))
+        adj[b].append((a, bi))
+    return tuple(tuple(sorted(nbrs)) for nbrs in adj)
 
 
 class Molecule:
     """Immutable molecular graph with perceived rings and aromaticity.
 
-    Construct via ``ilkit.chem.parse_smiles`` or ``ilkit.chem.from_graph``;
-    the raw constructor assumes fully finalized atoms and bonds.
+    Construct via ``ilkit.chem.parse_smiles`` or ``ilkit.chem.from_graph``.
+    The raw constructor checks nothing: it takes finalized atoms and bonds
+    and their ``build_adjacency``. ``from_graph`` is where a graph from
+    outside the parser is checked.
     """
 
     __slots__ = (
         "atoms",
         "bonds",
         "rings",
-        "_adj",
+        "adjacency",
         "_chiral_order",
         "_derived",
     )
@@ -90,25 +99,13 @@ class Molecule:
         atoms: tuple[Atom, ...],
         bonds: tuple[Bond, ...],
         rings: tuple[tuple[int, ...], ...],
+        adjacency: Adjacency,
         chiral_order: dict[int, tuple[int, ...]] | None = None,
     ):
         self.atoms = atoms
         self.bonds = bonds
         self.rings = rings
-        adj: list[list[tuple[int, int]]] = [[] for _ in atoms]
-        seen = set()
-        for bi, bond in enumerate(bonds):
-            if bond.a == bond.b:
-                raise IlkitError(f"bond {bi} joins atom {bond.a} to itself")
-            if not (0 <= bond.a < len(atoms) and 0 <= bond.b < len(atoms)):
-                raise IlkitError(f"bond {bi} references an atom index out of range")
-            key = (min(bond.a, bond.b), max(bond.a, bond.b))
-            if key in seen:
-                raise IlkitError(f"duplicate bond between atoms {key[0]} and {key[1]}")
-            seen.add(key)
-            adj[bond.a].append((bond.b, bi))
-            adj[bond.b].append((bond.a, bi))
-        self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        self.adjacency = adjacency
         # Neighbor sequences (with -1 for an implicit H) backing @/@@ parity.
         self._chiral_order = dict(chiral_order or {})
         self._derived: dict = {}
@@ -118,13 +115,13 @@ class Molecule:
 
     def neighbors(self, idx: int) -> tuple[tuple[int, int], ...]:
         """(neighbor, bond index) pairs in ascending neighbor order."""
-        return self._adj[idx]
+        return self.adjacency[idx]
 
     def neighbor_atoms(self, idx: int) -> tuple[int, ...]:
-        return tuple(n for n, _ in self._adj[idx])
+        return tuple(n for n, _ in self.adjacency[idx])
 
     def degree(self, idx: int) -> int:
-        return len(self._adj[idx])
+        return len(self.adjacency[idx])
 
     @property
     def net_charge(self) -> int:
@@ -142,7 +139,7 @@ class Molecule:
             while stack:
                 u = stack.pop()
                 comp.append(u)
-                for v, _ in self._adj[u]:
+                for v, _ in self.adjacency[u]:
                     if not seen[v]:
                         seen[v] = True
                         stack.append(v)

@@ -33,11 +33,13 @@ from .mol import (
     STEREO_NONE,
     STEREO_TRANS,
     TRIPLE,
+    Adjacency,
     Atom,
     Bond,
     Molecule,
+    build_adjacency,
 )
-from .rings import ring_bond_flags, small_cycles, sssr
+from .rings import ring_bond_flags, ring_subgraph, small_cycles, sssr
 
 _BRACKET_RE = re.compile(
     r"\[(?P<isotope>\d+)?(?P<symbol>[A-Z][a-z]?|[bcnops])"
@@ -257,14 +259,12 @@ def parse_smiles(text: str) -> Molecule:
 def finalize(raw_atoms: list[_RawAtom], raw_bonds: list[list], seqs: dict[int, list]) -> Molecule:
     """Shared build pipeline: H filling, ring/aromaticity perception, validation."""
     n = len(raw_atoms)
+    adj = build_adjacency(n, [(a, b) for a, b, _o, _d in raw_bonds])
     order_sum = [0] * n
-    n_nbrs = [0] * n
     for a, b, order, _d in raw_bonds:
         v = BOND_ORDER_VALUE[order]
         order_sum[a] += v
         order_sum[b] += v
-        n_nbrs[a] += 1
-        n_nbrs[b] += 1
 
     atoms: list[Atom] = []
     for i, raw in enumerate(raw_atoms):
@@ -272,7 +272,7 @@ def finalize(raw_atoms: list[_RawAtom], raw_bonds: list[list], seqs: dict[int, l
             explicit = 0
             try:
                 implicit = implied_hydrogens(
-                    raw.element, raw.charge, raw.aromatic, order_sum[i], n_nbrs[i]
+                    raw.element, raw.charge, raw.aromatic, order_sum[i], len(adj[i])
                 )
             except ValenceError as exc:
                 raise ValenceError(f"atom {i}: {exc}") from exc
@@ -291,28 +291,28 @@ def finalize(raw_atoms: list[_RawAtom], raw_bonds: list[list], seqs: dict[int, l
             )
         )
 
-    bond_pairs = [(b[0], b[1]) for b in raw_bonds]
-    ring_flags = ring_bond_flags(n, bond_pairs)
-    rings = sssr(n, bond_pairs, ring_flags)
+    ring_flags = ring_bond_flags(adj)
+    ring_adj = ring_subgraph(adj, ring_flags)
+    rings = sssr(ring_adj)
 
     bonds = [
         Bond(a=a, b=b, order=order, stereo=STEREO_NONE, in_ring=flag)
         for (a, b, order, _d), flag in zip(raw_bonds, ring_flags)
     ]
-    candidates = small_cycles(n, bond_pairs, ring_flags, max_size=7)
-    atoms, bonds = perceive_aromaticity(atoms, bonds, candidates)
+    candidates = small_cycles(ring_adj, max_size=7)
+    atoms, bonds = perceive_aromaticity(atoms, bonds, adj, candidates)
 
     _validate_valences(atoms, bonds)
 
     directions = {bi: d for bi, (_a, _b, _o, d) in enumerate(raw_bonds) if d}
-    bonds = _assign_double_bond_stereo(atoms, bonds, directions)
+    bonds = _assign_double_bond_stereo(atoms, bonds, adj, directions)
 
     chiral_seq: dict[int, tuple[int, ...]] = {}
     final_atoms: list[Atom] = []
     for i, atom in enumerate(atoms):
         if atom.chirality:
             seq = seqs.get(i, [])
-            want = n_nbrs[i] + (1 if atom.explicit_h else 0)
+            want = len(adj[i]) + (1 if atom.explicit_h else 0)
             if len(seq) != want or len(seq) not in (3, 4) or atom.total_h > 1:
                 # Not a sequenceable tetrahedral center; the mark is meaningless.
                 atom = replace(atom, chirality=CHI_NONE)
@@ -320,7 +320,7 @@ def finalize(raw_atoms: list[_RawAtom], raw_bonds: list[list], seqs: dict[int, l
                 chiral_seq[i] = tuple(seq)
         final_atoms.append(atom)
 
-    return Molecule(tuple(final_atoms), tuple(bonds), tuple(rings), chiral_seq)
+    return Molecule(tuple(final_atoms), tuple(bonds), tuple(rings), adj, chiral_seq)
 
 
 def _validate_valences(atoms: list[Atom], bonds: list[Bond]) -> None:
@@ -343,7 +343,7 @@ def _validate_valences(atoms: list[Atom], bonds: list[Bond]) -> None:
 
 
 def _assign_double_bond_stereo(
-    atoms: list[Atom], bonds: list[Bond], directions: dict[int, int]
+    atoms: list[Atom], bonds: list[Bond], adj: Adjacency, directions: dict[int, int]
 ) -> list[Bond]:
     """Turn directional single-bond marks into cis/trans labels on double bonds.
 
@@ -355,27 +355,20 @@ def _assign_double_bond_stereo(
     if not directions:
         return bonds
 
-    from .canon import refinement_ranks
+    from .canon import _coded_neighbors, refinement_ranks
 
-    incident: list[list[int]] = [[] for _ in atoms]
-    for bi, bond in enumerate(bonds):
-        incident[bond.a].append(bi)
-        incident[bond.b].append(bi)
-
-    ranks = refinement_ranks(atoms, bonds)
+    ranks = refinement_ranks(atoms, _coded_neighbors(bonds, adj))
 
     def substituent_sides(end: int, double_bi: int) -> dict[int, int] | None:
         """Map neighbor atom -> side (+1/-1) for every non-double neighbor of end."""
-        others = [bi for bi in incident[end] if bi != double_bi]
+        others = [(nbr, bi) for nbr, bi in adj[end] if bi != double_bi]
         if not others or len(others) > 2:
             return None
         sides: dict[int, int] = {}
-        for bi in others:
+        for nbr, bi in others:
             if bi not in directions:
                 continue
-            bond = bonds[bi]
-            nbr = bond.other(end)
-            d = directions[bi] if bond.a == end else -directions[bi]
+            d = directions[bi] if bonds[bi].a == end else -directions[bi]
             sides[nbr] = d  # +1: neighbor drawn above the axis
         if not sides:
             return None
@@ -385,8 +378,7 @@ def _assign_double_bond_stereo(
             )
         if len(others) == 2 and len(sides) == 1:
             known = next(iter(sides))
-            for bi in others:
-                nbr = bonds[bi].other(end)
+            for nbr, _bi in others:
                 if nbr != known:
                     sides[nbr] = -sides[known]
         return sides

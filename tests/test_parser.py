@@ -1,10 +1,13 @@
+import re
+import sys
+
 import pytest
 
 from genmol import HYPERVALENT_ANIONS
-from ilkit.chem import parse_smiles
+from ilkit.chem import from_graph, mol as mol_module, parse_smiles
 from ilkit.chem.elements import allowed_valences
 from ilkit.chem.mol import AROMATIC, DOUBLE, SINGLE, TRIPLE
-from ilkit.errors import AromaticityError, SmilesSyntaxError, ValenceError
+from ilkit.errors import AromaticityError, IlkitError, SmilesSyntaxError, ValenceError
 
 
 def test_ethanol_counts():
@@ -247,3 +250,54 @@ def test_parsed_molecules_equal_pinned_fields_on_equality_panel(equality_panel):
         h.update(repr(_parsed_fields(mol)).encode())
         h.update(b"\n")
     assert h.hexdigest() == PARSED_PANEL_SHA256
+
+
+def test_one_adjacency_per_parse(monkeypatch):
+    builder = mol_module.build_adjacency
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return builder(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ilkit") and getattr(module, "build_adjacency", None) is builder:
+            monkeypatch.setattr(module, "build_adjacency", counted)
+
+    # Rings, aromaticity, double-bond stereo and a chiral centre all read it.
+    mol = parse_smiles("C/C=C/[C@H](N)c1ccccc1")
+    assert mol.rings and any(b.stereo == "trans" for b in mol.bonds)
+    assert mol.chiral_neighbor_order(3) is not None
+    assert len(calls) == 1
+    # A one-fragment canonical form reads the parsed molecule's adjacency.
+    assert mol.canonical_smiles
+    assert len(calls) == 1
+
+
+_TWO_CARBONS = [{"element": "C"}, {"element": "C"}]
+
+
+@pytest.mark.parametrize(
+    "atoms, bonds, message",
+    [
+        (_TWO_CARBONS, [(0, 0)], "bond 0 joins atom 0 to itself"),
+        (_TWO_CARBONS, [(0, 1), (1, 0)], "bond 1: atoms 1 and 0 are already bonded"),
+        (_TWO_CARBONS, [(0, 1), (0, 1, "double")], "bond 1: atoms 0 and 1 are already bonded"),
+        (_TWO_CARBONS, [(0, 5)], "bond 0: atom index 5 is out of range"),
+        (_TWO_CARBONS, [(-1, 1)], "bond 0: atom index -1 is out of range"),
+        (_TWO_CARBONS, [(0, 1, "quadruple")], "bond 0: unknown bond order 'quadruple'"),
+        (_TWO_CARBONS, [(0, 1, "double", "sideways")], "bond 0: unknown stereo label 'sideways'"),
+        ([{"element": "C"}, {"element": "Xx"}], [(0, 1)], "atom 1: unknown element 'Xx'"),
+    ],
+)
+def test_from_graph_rejects_malformed_graphs(atoms, bonds, message):
+    with pytest.raises(IlkitError, match=re.escape(message)):
+        from_graph(atoms, bonds)
+
+
+@pytest.mark.parametrize("label, stereo", [(None, "none"), ("none", "none"),
+                                           ("cis", "cis"), ("trans", "trans")])
+def test_from_graph_accepts_every_stereo_label(label, stereo):
+    atoms = [{"element": "C"}, {"element": "C"}, {"element": "C"}, {"element": "Cl"}]
+    mol = from_graph(atoms, [(0, 1), (1, 2, "double", label), (2, 3)])
+    assert mol.bonds[1].stereo == stereo
