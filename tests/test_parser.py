@@ -1,3 +1,4 @@
+import hashlib
 import re
 import sys
 
@@ -243,8 +244,6 @@ def _parsed_fields(mol) -> tuple:
 
 
 def test_parsed_molecules_equal_pinned_fields_on_equality_panel(equality_panel):
-    import hashlib
-
     h = hashlib.sha256()
     for mol in equality_panel:
         h.update(repr(_parsed_fields(mol)).encode())
@@ -253,15 +252,15 @@ def test_parsed_molecules_equal_pinned_fields_on_equality_panel(equality_panel):
 
 
 def test_one_adjacency_per_parse(monkeypatch):
-    builder = mol_module.build_adjacency
+    original = mol_module.build_adjacency
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return builder(*args)
+        return original(*args)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("ilkit") and getattr(module, "build_adjacency", None) is builder:
+        if name.startswith("ilkit") and getattr(module, "build_adjacency", None) is original:
             monkeypatch.setattr(module, "build_adjacency", counted)
 
     # Rings, aromaticity, double-bond stereo and a chiral centre all read it.
