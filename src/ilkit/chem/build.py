@@ -9,6 +9,9 @@ from ..errors import IlkitError
 from .elements import is_known_element
 from .mol import (
     BOND_ORDER_VALUE,
+    CHI_CCW,
+    CHI_CW,
+    CHI_NONE,
     DOUBLE,
     HYDROGEN_SENTINEL,
     SINGLE,
@@ -20,6 +23,7 @@ from .mol import (
 from .parser import _RawAtom, finalize
 
 _STEREO_LABELS = (None, STEREO_NONE, STEREO_CIS, STEREO_TRANS)
+_CHIRALITIES = (CHI_NONE, CHI_CCW, CHI_CW)
 
 
 def from_graph(atoms: Iterable[dict], bonds: Iterable[Sequence]) -> Molecule:
@@ -36,9 +40,12 @@ def from_graph(atoms: Iterable[dict], bonds: Iterable[Sequence]) -> Molecule:
     label) interpreted relative to the lowest-rank substituent on each end.
 
     This is where a graph from outside the parser is checked: an unknown
-    element, a bond to an atom index out of range, a bond from an atom to
-    itself, a second bond between the same two atoms, or an unknown bond
-    order or stereo label raises ``IlkitError`` naming the atom or bond.
+    element; a charge that is not an int in [-9, 9] (the parser's bound); an
+    ``explicit_h`` or ``isotope`` that is not an int >= 0 (``isotope`` may be
+    None); a chirality other than "", "@" and "@@"; a bond end that is not an
+    int or is out of range; a bond from an atom to itself; a second bond
+    between the same two atoms; or an unknown bond order or stereo label
+    raises ``IlkitError`` naming the atom or bond.
     The same perception pipeline as SMILES parsing runs afterwards, so the
     result is indistinguishable from a parsed molecule.
     """
@@ -48,17 +55,27 @@ def from_graph(atoms: Iterable[dict], bonds: Iterable[Sequence]) -> Molecule:
         element = spec.get("element")
         if not is_known_element(element):
             raise IlkitError(f"atom {i}: unknown element {element!r}")
+        charge = spec.get("charge", 0)
+        if not isinstance(charge, int) or not -9 <= charge <= 9:
+            raise IlkitError(f"atom {i}: charge {charge!r} is not an int in [-9, 9]")
         explicit_h = spec.get("explicit_h")
+        if explicit_h is not None and not (isinstance(explicit_h, int) and explicit_h >= 0):
+            raise IlkitError(f"atom {i}: explicit_h {explicit_h!r} is not an int >= 0")
+        isotope = spec.get("isotope")
+        if isotope is not None and not (isinstance(isotope, int) and isotope >= 0):
+            raise IlkitError(f"atom {i}: isotope {isotope!r} is not None or an int >= 0")
         chirality = spec.get("chirality", "")
+        if chirality not in _CHIRALITIES:
+            raise IlkitError(f"atom {i}: unknown chirality {chirality!r}")
         if chirality and explicit_h is None:
             raise IlkitError("chiral atoms need an explicit hydrogen count")
         raw_atoms.append(
             _RawAtom(
                 element=element,
-                charge=spec.get("charge", 0),
+                charge=charge,
                 explicit_h=explicit_h if explicit_h is not None else 0,
                 aromatic=spec.get("aromatic", False),
-                isotope=spec.get("isotope"),
+                isotope=isotope,
                 chirality=chirality,
                 bracket=explicit_h is not None,
             )
@@ -70,10 +87,12 @@ def from_graph(atoms: Iterable[dict], bonds: Iterable[Sequence]) -> Molecule:
     for bi, spec in enumerate(bonds):
         if len(spec) < 2:
             raise IlkitError(f"bond {bi}: needs at least two atom indices")
-        a, b = int(spec[0]), int(spec[1])
+        a, b = spec[0], spec[1]
         order = spec[2] if len(spec) > 2 else SINGLE
         stereo = spec[3] if len(spec) > 3 else None
         for end in (a, b):
+            if not isinstance(end, int):
+                raise IlkitError(f"bond {bi}: atom index {end!r} is not an int")
             if not 0 <= end < len(raw_atoms):
                 raise IlkitError(f"bond {bi}: atom index {end} is out of range")
         if a == b:

@@ -10,6 +10,8 @@ on the labeled graph, never on input atom numbering.
 
 from __future__ import annotations
 
+import heapq
+
 from ..errors import IlkitError
 from . import table
 from .elements import AROMATIC_ELEMENTS, ORGANIC_SUBSET, atomic_number, implied_hydrogens
@@ -243,7 +245,7 @@ def write_smiles(mol: Molecule, order: list[int] | tuple[int, ...] | None = None
     """
     if order is None:
         return mol.canonical_smiles
-    if sorted(order) != list(range(len(mol.atoms))):
+    if not all(isinstance(i, int) for i in order) or sorted(order) != list(range(len(mol.atoms))):
         raise IlkitError("order must be a permutation of all atom indices")
     ranking = [0] * len(mol.atoms)
     for pos, idx in enumerate(order):
@@ -277,17 +279,15 @@ def _emit(
 
     visit_pos = [-1] * n
     order: list[int] = []
-    parent: list[int | None] = [None] * n
-    children: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    ring_at_opener: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (closer, bond)
-    ring_at_closer: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (opener, bond)
-    comp_starts: list[int] = []
+    parent: list[tuple[int, int] | None] = [None] * n  # (parent, tree bond)
+    children: list[list[int]] = [[] for _ in range(n)]
+    openings: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (closer, bond)
+    closures: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (opener, bond)
     seen_edges: set[int] = set()
 
     for root in sorted(range(n), key=lambda i: priority[i]):
         if visit_pos[root] != -1:
             continue
-        comp_starts.append(root)
         visit_pos[root] = len(order)
         order.append(root)
         dfs: list[tuple[int, int]] = [(root, 0)]
@@ -302,16 +302,15 @@ def _emit(
                 if visit_pos[v] == -1:
                     visit_pos[v] = len(order)
                     order.append(v)
-                    parent[v] = u
-                    children[u].append((v, bi))
+                    parent[v] = (u, bi)
+                    children[u].append(v)
                     dfs.append((u, cursor))
                     dfs.append((v, 0))
                     break
                 # Back edge: v was visited earlier and opens the ring bond.
-                ring_at_opener[v].append((u, bi))
-                ring_at_closer[u].append((v, bi))
+                openings[v].append((u, bi))
+                closures[u].append((v, bi))
 
-    digit_of = _allocate_ring_digits(mol, order, visit_pos, ring_at_opener)
     directions = _stereo_directions(mol, visit_pos, refine_ranks)
 
     def bond_token(bi: int, from_atom: int) -> str:
@@ -328,86 +327,54 @@ def _emit(
     def digit_token(d: int) -> str:
         return str(d) if d < 10 else f"%{d:02d}"
 
+    # Writing order is visit order: both are the pre-order of the DFS tree
+    # with children in discovery order. A ring bond takes the lowest free
+    # digit when it opens. A digit is freed only after its closing atom's
+    # openings, so a ring opened there takes another one (C1CC12CC2).
     out: list[str] = []
-
-    def emit_atom(u: int) -> None:
-        closures = ring_at_closer[u]
-        openings = ring_at_opener[u]
-        if len(closures) > 1:
-            closures.sort(key=lambda t: digit_of[t[1]])
-        if len(openings) > 1:
-            openings.sort(key=lambda t: visit_pos[t[0]])
+    digit_of: dict[int, int] = {}
+    free = list(range(1, 100))  # heap of unused ring digits
+    for u in order:
+        link = parent[u]
+        if link is None:
+            if visit_pos[u]:
+                out.append(".")
+        else:
+            p, bi = link
+            if children[p][0] != u:
+                out.append(")")
+            if children[p][-1] != u:
+                out.append("(")
+            out.append(bond_token(bi, p))
+        closed = closures[u]
+        opened = openings[u]
+        if len(closed) > 1:
+            closed.sort(key=lambda t: digit_of[t[1]])
+        if len(opened) > 1:
+            opened.sort(key=lambda t: visit_pos[t[0]])
         token = tokens[u]
         if token is None:
             emit_seq: list[int] = []  # neighbor order of the written atom
-            if parent[u] is not None:
-                emit_seq.append(parent[u])
+            if link is not None:
+                emit_seq.append(link[0])
             if mol.atoms[u].total_h == 1:
                 emit_seq.append(HYDROGEN_SENTINEL)
-            emit_seq.extend(v for v, _bi in closures)
-            emit_seq.extend(v for v, _bi in openings)
-            emit_seq.extend(v for v, _bi in children[u])
+            emit_seq.extend(v for v, _bi in closed)
+            emit_seq.extend(v for v, _bi in opened)
+            emit_seq.extend(children[u])
             token = _atom_token(mol, u, emit_seq)
         out.append(token)
-        for v, bi in closures:
+        for _v, bi in closed:
             out.append(digit_token(digit_of[bi]))
-        for v, bi in openings:
+        for _v, bi in opened:
+            if not free:
+                raise IlkitError("more than 99 simultaneously open ring bonds")
+            digit_of[bi] = heapq.heappop(free)
             out.append(bond_token(bi, u) + digit_token(digit_of[bi]))
-
-    for fi, root in enumerate(sorted(comp_starts, key=lambda r: visit_pos[r])):
-        if fi:
-            out.append(".")
-        work: list[tuple[str, int, int | None]] = [("atom", root, None)]
-        while work:
-            kind, u, bi = work.pop()
-            if kind == "open":
-                out.append("(")
-                continue
-            if kind == "close":
-                out.append(")")
-                continue
-            if bi is not None:
-                out.append(bond_token(bi, parent[u]))
-            emit_atom(u)
-            kids = children[u]
-            items: list[tuple[str, int, int | None]] = []
-            for k, (v, cbi) in enumerate(kids):
-                if k < len(kids) - 1:
-                    items.append(("open", 0, None))
-                    items.append(("atom", v, cbi))
-                    items.append(("close", 0, None))
-                else:
-                    items.append(("atom", v, cbi))
-            work.extend(reversed(items))
+        for _v, bi in closed:
+            heapq.heappush(free, digit_of[bi])
 
     return "".join(out), tuple(order)
-
-
-def _allocate_ring_digits(mol, order, visit_pos, ring_at_opener) -> dict[int, int]:
-    """Assign ring-closure digits, reusing each digit once its bond closes."""
-    opens: list[tuple[int, int, int]] = []  # (open position, close position, bond)
-    for u in order:
-        for closer, bi in sorted(ring_at_opener[u], key=lambda t: visit_pos[t[0]]):
-            opens.append((visit_pos[u], visit_pos[closer], bi))
-    opens.sort()
-    digit_of: dict[int, int] = {}
-    active: list[tuple[int, int]] = []  # (close position, digit)
-    free = list(range(1, 100))
-    for open_pos, close_pos, bi in opens:
-        still = []
-        for cp, d in active:
-            if cp < open_pos:
-                free.append(d)
-            else:
-                still.append((cp, d))
-        active = still
-        free.sort()
-        if not free:
-            raise IlkitError("more than 99 simultaneously open ring bonds")
-        d = free.pop(0)
-        digit_of[bi] = d
-        active.append((close_pos, d))
-    return digit_of
 
 
 def _needs_bracket(mol: Molecule, u: int) -> bool:

@@ -10,22 +10,25 @@ Refinement and emission are frozen here as they stood before ``_refine``
 packed neighbor entries into ints and skipped atoms alone in their cell
 (every round re-sorts every atom's (bond code, neighbor rank) tuples) and
 before ``_emit`` stopped building neighbor sequences for atoms without
-chirality and took atom tokens built once per molecule (here every emission
-asks ``_atom_token`` for every atom). ``refinement_ranks``, ``_refine`` and
-``_emit`` in ``ilkit.chem.canon`` must give exactly these results.
+chirality, took atom tokens built once per molecule (here every emission
+asks ``_atom_token`` for every atom) and wrote in one pass over the visit
+order (here ring digits are handed out by ``_allocate_ring_digits`` in a
+second walk, and a worklist writes each fragment's branches).
+``refinement_ranks``, ``_refine`` and ``_emit`` in ``ilkit.chem.canon`` must
+give exactly these results.
 """
 
 from __future__ import annotations
 
 from ilkit.chem.canon import (
     _ORDER_TOKEN,
-    _allocate_ring_digits,
     _atom_token,
     _extract_component,
     _stereo_directions,
 )
 from ilkit.chem.elements import atomic_number
 from ilkit.chem.mol import BOND_CODE, HYDROGEN_SENTINEL, SINGLE
+from ilkit.errors import IlkitError
 
 
 def _adjacency(atoms, bonds) -> list[list[tuple[int, int]]]:
@@ -183,6 +186,33 @@ def _emit(mol, priority: list[int], refine_ranks: list[int]) -> tuple[str, tuple
             work.extend(reversed(items))
 
     return "".join(out), tuple(order)
+
+
+def _allocate_ring_digits(mol, order, visit_pos, ring_at_opener) -> dict[int, int]:
+    """Assign ring-closure digits, reusing each digit once its bond closes."""
+    opens: list[tuple[int, int, int]] = []  # (open position, close position, bond)
+    for u in order:
+        for closer, bi in sorted(ring_at_opener[u], key=lambda t: visit_pos[t[0]]):
+            opens.append((visit_pos[u], visit_pos[closer], bi))
+    opens.sort()
+    digit_of: dict[int, int] = {}
+    active: list[tuple[int, int]] = []  # (close position, digit)
+    free = list(range(1, 100))
+    for open_pos, close_pos, bi in opens:
+        still = []
+        for cp, d in active:
+            if cp < open_pos:
+                free.append(d)
+            else:
+                still.append((cp, d))
+        active = still
+        free.sort()
+        if not free:
+            raise IlkitError("more than 99 simultaneously open ring bonds")
+        d = free.pop(0)
+        digit_of[bi] = d
+        active.append((close_pos, d))
+    return digit_of
 
 
 def _discrete_rankings(ranks: list[int], bonds, adj):

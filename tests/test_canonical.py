@@ -3,10 +3,11 @@ import random
 import pytest
 
 from genmol import CURATED_SMILES, HYPERVALENT_ANIONS, SYMMETRIC_PANEL, corpus
-from ilkit.chem import canonicalize, parse_smiles, structural_match, write_smiles
+from ilkit.chem import canonicalize, from_graph, parse_smiles, structural_match, write_smiles
 from ilkit.chem.canon import _coded_neighbors, _emit, _refine, canonical_form, refinement_ranks
 from oracles import canon_oracle
 from oracles.canon_oracle import oracle_canonical_form
+from ilkit.errors import IlkitError
 from oracles.iso import isomorphic
 
 TBU4 = "CC(C)(C)C(C(C)(C)C)(C(C)(C)C)C(C)(C)C"
@@ -16,6 +17,17 @@ def _shuffled(mol, rng):
     order = list(range(len(mol.atoms)))
     rng.shuffle(order)
     return parse_smiles(write_smiles(mol, order))
+
+
+def _ladder(k):
+    """k rungs: atoms 0..k-1 on top, k..2k-1 below, rung i joins i and k + i.
+
+    Written in index order, every rung but the last is a ring bond and all
+    of them are open at once.
+    """
+    bonds = [(i, i + 1) for i in range(k - 1)] + [(k + i, k + i + 1) for i in range(k - 1)]
+    bonds += [(i, k + i) for i in range(k)]
+    return from_graph([{"element": "C"} for _ in range(2 * k)], bonds)
 
 
 def test_same_molecule_different_entry_order():
@@ -91,10 +103,31 @@ def test_chirality_distinguishes_enantiomer_strings():
 
 def test_write_smiles_requires_full_permutation():
     mol = parse_smiles("CCO")
-    from ilkit.errors import IlkitError
-
     with pytest.raises(IlkitError):
         write_smiles(mol, order=[0, 1])
+
+
+@pytest.mark.parametrize("order", [[0, 1.0], [1, "0"]])
+def test_write_smiles_rejects_order_entries_that_are_not_ints(order):
+    with pytest.raises(IlkitError, match="order must be a permutation"):
+        write_smiles(parse_smiles("CO"), order=order)
+
+
+@pytest.mark.parametrize("k, digit", [(11, "C%10"), (100, "C%99")])
+def test_two_digit_ring_closures_round_trip(k, digit):
+    mol = _ladder(k)
+    text = write_smiles(mol, range(2 * k))
+    assert digit in text
+    assert canonicalize(text) == mol.canonical_smiles
+
+
+def test_more_than_99_open_ring_bonds_is_an_error():
+    with pytest.raises(IlkitError, match="more than 99 simultaneously open ring bonds"):
+        write_smiles(_ladder(101), range(202))
+
+
+def test_ring_digit_closed_at_an_atom_is_not_reused_by_a_ring_it_opens():
+    assert canonicalize("C1CC12CC2") == "C1CC12CC2"
 
 
 def test_charge_bookkeeping_named_ions(ion_molecules):
@@ -107,12 +140,26 @@ def test_charge_bookkeeping_named_ions(ion_molecules):
             assert mol.net_charge == 0, name
 
 
+def _emitted(emit, mol, priority, base):
+    try:
+        return emit(mol, priority, base)
+    except IlkitError as exc:
+        return str(exc)
+
+
 def test_refinement_and_emission_equal_frozen_oracle_on_equality_panel(equality_panel):
-    for mol in equality_panel:
+    # Base ranks, one random visit priority per molecule (non-canonical DFS
+    # orders and fragment root orders), and ladders up to the 99-digit limit.
+    rng = random.Random(0)
+    for mol in [*equality_panel, *(_ladder(k) for k in (11, 100, 101))]:
         nbrs = _coded_neighbors(mol.bonds, mol.adjacency)
         base = refinement_ranks(mol.atoms, nbrs)
         assert base == canon_oracle.refinement_ranks(mol.atoms, mol.bonds)
-        assert _emit(mol, base, base) == canon_oracle._emit(mol, base, base)
+        shuffled = list(range(len(mol.atoms)))
+        rng.shuffle(shuffled)
+        for priority in (base, shuffled, list(range(len(mol.atoms)))):
+            expected = _emitted(canon_oracle._emit, mol, priority, base)
+            assert _emitted(_emit, mol, priority, base) == expected
         cells: dict[int, list[int]] = {}
         for i, r in enumerate(base):
             cells.setdefault(r, []).append(i)

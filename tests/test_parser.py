@@ -287,6 +287,15 @@ _TWO_CARBONS = [{"element": "C"}, {"element": "C"}]
         (_TWO_CARBONS, [(0, 1, "quadruple")], "bond 0: unknown bond order 'quadruple'"),
         (_TWO_CARBONS, [(0, 1, "double", "sideways")], "bond 0: unknown stereo label 'sideways'"),
         ([{"element": "C"}, {"element": "Xx"}], [(0, 1)], "atom 1: unknown element 'Xx'"),
+        ([{"element": "C", "charge": 100}], [], "atom 0: charge 100 is not an int in [-9, 9]"),
+        ([{"element": "C", "charge": "x"}], [], "atom 0: charge 'x' is not an int in [-9, 9]"),
+        ([{"element": "C", "explicit_h": 1.5}], [], "atom 0: explicit_h 1.5 is not an int >= 0"),
+        ([{"element": "C", "explicit_h": -1}], [], "atom 0: explicit_h -1 is not an int >= 0"),
+        ([{"element": "C", "isotope": "x"}], [], "atom 0: isotope 'x' is not None or an int >= 0"),
+        ([{"element": "C", "explicit_h": 0, "chirality": "@@@"}], [],
+         "atom 0: unknown chirality '@@@'"),
+        (_TWO_CARBONS, [("a", 1)], "bond 0: atom index 'a' is not an int"),
+        (_TWO_CARBONS, [(0.5, 1)], "bond 0: atom index 0.5 is not an int"),
     ],
 )
 def test_from_graph_rejects_malformed_graphs(atoms, bonds, message):
