@@ -1,7 +1,8 @@
 """Canonical atom ranking and SMILES emission.
 
 Ranking is iterative invariant refinement over (element, charge, degree,
-hydrogen count, aromatic flag, isotope, chirality presence). Remaining ties
+hydrogen count, aromatic flag, isotope, chirality presence), where a round
+after the first re-keys only atoms next to a split cell. Remaining ties
 are broken by a depth-first search over tie-break choices that keeps the
 lexicographically smallest emitted string and skips branches a known
 automorphism maps onto an explored one, so the canonical form depends only
@@ -11,6 +12,7 @@ on the labeled graph, never on input atom numbering.
 from __future__ import annotations
 
 import heapq
+from itertools import accumulate
 
 from ..errors import IlkitError
 from . import table
@@ -77,23 +79,60 @@ def refinement_ranks(atoms, nbrs) -> list[int]:
 
 
 def _refine(ranks: list[int], nbrs: list[list[tuple[int, int]]]) -> list[int]:
-    """Re-rank by (rank, sorted neighbor (bond code, rank) list) until stable.
-
-    An atom alone in its cell keeps its place among the dense ranks whatever
-    its neighbors, so its list is never built.
+    """Split cells of dense ``ranks`` by sorted neighbor (bond code, rank)
+    lists until stable. Rounds are synchronous (every list reads the last
+    round's ranks), and inside the loop a rank is its cell's first position,
+    which orders atoms as dense ranks would. The first round keys every tied
+    atom; later rounds key only tied atoms next to one that moved, that is,
+    left a split cell in any piece but one largest. A cell's members had
+    equal lists a round earlier, so the others still count each split cell
+    wholly in its largest piece and share one list. Lone atoms are never keyed.
     """
-    while True:
-        size = [0] * len(ranks)
-        for r in ranks:
-            size[r] += 1
-        keys = [
-            (r, tuple(sorted([code + ranks[j] for code, j in nbrs[i]])) if size[r] > 1 else ())
-            for i, r in enumerate(ranks)
-        ]
-        new_ranks = _dense_ranks(keys)
-        if new_ranks == ranks:
-            return ranks
-        ranks = new_ranks
+    size = [0] * len(ranks)
+    for r in ranks:
+        size[r] += 1
+    first = list(accumulate(size, initial=0))
+    rank = [first[r] for r in ranks]
+    cell: dict[int, list[int]] = {}  # first position -> members, tied cells only
+    for i, r in enumerate(ranks):
+        if size[r] > 1:
+            cell.setdefault(rank[i], []).append(i)
+    hits = dict(cell)  # first position -> members to key this round
+    stamp = [0] * len(ranks)  # == rnd: keyed this round
+    rnd = 0
+    while hits:
+        splits = []
+        for s, hit in hits.items():
+            pieces: dict[tuple[int, ...], list[int]] = {}
+            rest = [i for i in cell[s] if stamp[i] != rnd] if len(hit) < len(cell[s]) else []
+            for i in hit + rest[:1]:
+                key = tuple(sorted([code + rank[j] for code, j in nbrs[i]]))
+                pieces.setdefault(key, []).append(i)
+            pieces[key] += rest[1:]  # the last key built is the rest's
+            if len(pieces) > 1:
+                splits.append((s, [pieces[key] for key in sorted(pieces)]))
+        if not splits:
+            break
+        moved = []
+        for s, parts in splits:
+            del cell[s]
+            largest = max(parts, key=len)
+            for part in parts:
+                if len(part) > 1:
+                    cell[s] = part
+                for i in part:
+                    rank[i] = s
+                if part is not largest:
+                    moved += part
+                s += len(part)
+        rnd += 1
+        hits = {}
+        for m in moved:
+            for _, j in nbrs[m]:
+                if stamp[j] != rnd and rank[j] in cell:
+                    stamp[j] = rnd
+                    hits.setdefault(rank[j], []).append(j)
+    return _dense_ranks(rank) if rnd else ranks
 
 
 def _least_leaf(

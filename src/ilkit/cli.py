@@ -61,6 +61,7 @@ from .screening import (
 )
 
 DEFAULT_SEED = 42
+MODEL_HELP = "model kind (default: the config file's model, else ridge)"
 
 
 def _read_config_file(path: str) -> dict:
@@ -80,7 +81,10 @@ def _read_config_file(path: str) -> dict:
         elif raw.lower() in ("true", "false"):
             values[key] = raw.lower() == "true"
         elif "," in raw:
-            values[key] = tuple(int(p.strip()) for p in raw.split(",") if p.strip())
+            try:
+                values[key] = tuple(int(p.strip()) for p in raw.split(",") if p.strip())
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: {key}: expected ints") from None
         else:
             try:
                 values[key] = int(raw)
@@ -159,12 +163,17 @@ def _search_config(args) -> SearchConfig:
 
 def _mlp_config(values: dict, seed: int) -> MLPConfig:
     """``MLPConfig`` defaults with ``seed``, overridden by the config file's
-    keys, each cast to its default's type."""
+    keys, each of its default's type (a float may be an int, an int no bool)."""
     cfg = MLPConfig(seed=seed)
     given = {k: v for k, v in values.items() if k in MLPConfig.__dataclass_fields__}
-    if isinstance(given.get("hidden"), int):
+    if type(given.get("hidden")) is int:
         given["hidden"] = (given["hidden"],)
-    return replace(cfg, **{k: type(getattr(cfg, k))(v) for k, v in given.items()})
+    for key, value in given.items():
+        want = type(getattr(cfg, key))
+        if type(value) is not want and (want, type(value)) != (float, int):
+            kind = {int: "an int", float: "a number", str: "a string", tuple: "int(s)"}[want]
+            raise ConfigError(f"config key {key}: {value!r} is not {kind}")
+    return replace(cfg, **given)
 
 
 def _make_trainer(args, property_name: str):
@@ -448,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a baseline model on one property")
     p.add_argument("records")
     p.add_argument("--property", required=True)
-    p.add_argument("--model", dest="model_kind", choices=["ridge", "mlp"], default="ridge")
+    p.add_argument("--model", dest="model_kind", choices=["ridge", "mlp"], help=MODEL_HELP)
     p.add_argument("--lambda", dest="ridge_lambda", type=float, help="ridge penalty")
     p.add_argument("--config", help="model config file (key = value)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -462,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=list(SCHEMES), required=True)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--model", dest="model_kind", choices=["ridge", "mlp"], default="ridge")
+    p.add_argument("--model", dest="model_kind", choices=["ridge", "mlp"], help=MODEL_HELP)
     p.add_argument("--lambda", dest="ridge_lambda", type=float)
     p.add_argument("--config", help="model config file")
     p.add_argument("-o", "--output", help="report JSON path (default stdout)")

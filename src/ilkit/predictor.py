@@ -135,8 +135,10 @@ class MLPConfig:
     def validate(self) -> None:
         if self.activation not in ("tanh", "relu"):
             raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0:
-            raise ConfigError("learning_rate > 0, batch_size >= 1, epochs >= 0 required")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and > 0, not {self.learning_rate}")
+        if self.batch_size < 1 or self.epochs < 0:
+            raise ConfigError("batch_size >= 1 and epochs >= 0 required")
         if any(h < 1 for h in self.hidden):
             raise ConfigError("hidden layer sizes must be >= 1")
 
@@ -155,45 +157,35 @@ class MLPModel:
     def _act(self, x: np.ndarray) -> np.ndarray:
         return np.tanh(x) if self.activation == "tanh" else np.maximum(x, 0.0)
 
-    def _act_grad(self, pre: np.ndarray) -> np.ndarray:
-        if self.activation == "tanh":
-            t = np.tanh(pre)
-            return 1.0 - t * t
-        return (pre > 0).astype(float)
-
     def _layers(self, Z: np.ndarray):
-        """(pre-activations, activations from Z on, output) of one forward pass."""
-        pres = []
+        """(activations from Z on, output) of one forward pass."""
         acts = [Z]
         for k in range(len(self.weights) - 1):
-            pres.append(acts[-1] @ self.weights[k] + self.biases[k])
-            acts.append(self._act(pres[-1]))
-        return pres, acts, (acts[-1] @ self.weights[-1] + self.biases[-1]).ravel()
+            acts.append(self._act(acts[-1] @ self.weights[k] + self.biases[k]))
+        return acts, (acts[-1] @ self.weights[-1] + self.biases[-1]).ravel()
 
     def forward(self, Z: np.ndarray) -> np.ndarray:
-        return self._layers(Z)[2]
+        return self._layers(Z)[1]
 
     def predict_features(self, X: np.ndarray) -> np.ndarray:
         return self.forward(self.standardizer.transform(np.atleast_2d(X)))
 
     def loss_and_gradients(self, Z: np.ndarray, y: np.ndarray):
         """Mean-squared-error loss and gradients for standardized inputs."""
-        pres, acts, out = self._layers(Z)
+        acts, out = self._layers(Z)
         err = out - y
         loss = float(np.mean(err**2))
 
-        n = len(y)
-        d_out = (2.0 / n) * err[:, None]
-        grads_w = [np.zeros_like(w) for w in self.weights]
-        grads_b = [np.zeros_like(b) for b in self.biases]
-        grads_w[-1] = acts[-1].T @ d_out
-        grads_b[-1] = d_out.sum(axis=0)
-        upstream = d_out @ self.weights[-1].T
+        d_pre = (2.0 / len(y)) * err[:, None]
+        grads_w = [acts[-1].T @ d_pre]
+        grads_b = [d_pre.sum(axis=0)]
         for k in range(len(self.weights) - 2, -1, -1):
-            d_pre = upstream * self._act_grad(pres[k])
-            grads_w[k] = acts[k].T @ d_pre
-            grads_b[k] = d_pre.sum(axis=0)
-            upstream = d_pre @ self.weights[k].T
+            # tanh' = 1 - tanh^2 and relu' = (relu > 0), from the layer's output.
+            t = acts[k + 1]
+            d_act = 1.0 - t * t if self.activation == "tanh" else t > 0
+            d_pre = (d_pre @ self.weights[k + 1].T) * d_act
+            grads_w.insert(0, acts[k].T @ d_pre)
+            grads_b.insert(0, d_pre.sum(axis=0))
         return loss, grads_w, grads_b
 
     def to_json_dict(self) -> dict:

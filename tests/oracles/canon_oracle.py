@@ -7,8 +7,10 @@ must return exactly this (SMILES, order). The cost grows with the size of
 the automorphism group: tetra-tert-butylmethane takes seconds.
 
 Refinement and emission are frozen here as they stood before ``_refine``
-packed neighbor entries into ints and skipped atoms alone in their cell
-(every round re-sorts every atom's (bond code, neighbor rank) tuples) and
+packed neighbor entries into ints, skipped atoms alone in their cell and,
+after its first round, keyed only atoms next to a split cell, with a cell's
+first position as the rank inside the loop (here every round re-sorts every
+atom's (bond code, neighbor rank) tuples and renumbers densely) and
 before ``_emit`` stopped building neighbor sequences for atoms without
 chirality, took atom tokens built once per molecule (here every emission
 asks ``_atom_token`` for every atom) and wrote in one pass over the visit

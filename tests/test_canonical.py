@@ -147,29 +147,57 @@ def _emitted(emit, mol, priority, base):
         return str(exc)
 
 
+def _chain(k):
+    """k chain carbons ending in a quaternary ammonium: refinement needs
+    about k / 2 rounds to tell the chain atoms apart."""
+    return parse_smiles("C" * k + "[N+](C)(C)CC")
+
+
 def test_refinement_and_emission_equal_frozen_oracle_on_equality_panel(equality_panel):
     # Base ranks, one random visit priority per molecule (non-canonical DFS
     # orders and fragment root orders), and ladders up to the 99-digit limit.
+    # Refinement also starts from all-zero ranks, a random coarse ranking and
+    # each individualized member of the first tied cell; long chains and
+    # ladders take many rounds.
     rng = random.Random(0)
-    for mol in [*equality_panel, *(_ladder(k) for k in (11, 100, 101))]:
+    extra = [*(_ladder(k) for k in (11, 100, 101)), *(_chain(k) for k in (40, 160))]
+    for mol in [*equality_panel, *extra]:
+        n = len(mol.atoms)
         nbrs = _coded_neighbors(mol.bonds, mol.adjacency)
         base = refinement_ranks(mol.atoms, nbrs)
         assert base == canon_oracle.refinement_ranks(mol.atoms, mol.bonds)
-        shuffled = list(range(len(mol.atoms)))
+        shuffled = list(range(n))
         rng.shuffle(shuffled)
-        for priority in (base, shuffled, list(range(len(mol.atoms)))):
+        for priority in (base, shuffled, list(range(n))):
             expected = _emitted(canon_oracle._emit, mol, priority, base)
             assert _emitted(_emit, mol, priority, base) == expected
+        starts = [[0] * n, canon_oracle._dense_ranks([rng.randrange(3) for _ in range(n)])]
         cells: dict[int, list[int]] = {}
         for i, r in enumerate(base):
             cells.setdefault(r, []).append(i)
         tied = [r for r, members in cells.items() if len(members) > 1]
-        if not tied:
-            continue
+        if tied:
+            starts += [canon_oracle.individualize(base, chosen) for chosen in cells[min(tied)]]
         adj = canon_oracle._adjacency(mol.atoms, mol.bonds)
-        for chosen in cells[min(tied)]:
-            start = canon_oracle.individualize(base, chosen)
+        for start in starts:
             assert _refine(start, nbrs) == canon_oracle._refine(start, mol.bonds, adj)
+
+
+def test_refinement_reads_each_neighbor_list_a_few_times():
+    # From all-zero ranks, re-keying every tied atom each round reads the
+    # neighbor lists of this 165-atom chain 6,729 times; keying only atoms
+    # next to a split reads them 575 times.
+    class Counted(list):
+        reads = 0
+
+        def __getitem__(self, i):
+            Counted.reads += 1
+            return super().__getitem__(i)
+
+    mol = _chain(160)
+    nbrs = _coded_neighbors(mol.bonds, mol.adjacency)
+    assert _refine([0] * 165, Counted(nbrs)) == refinement_ranks(mol.atoms, nbrs)
+    assert len(mol.atoms) == 165 and Counted.reads <= 4 * 165
 
 
 def _assert_matches_oracle(mol):

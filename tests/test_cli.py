@@ -550,6 +550,46 @@ def test_config_file_requires_schema_version(tmp_path):
     assert "schema_version" in err
 
 
+def test_config_file_model_applies_unless_the_flag_overrides_it(tmp_path):
+    records = _records_csv(tmp_path, _bulk_rows(20))
+    config = tmp_path / "mlp.cfg"
+    config.write_text('schema_version = 1\nmodel = "mlp"\nhidden = 4\nbatch_size = 8\nepochs = 2\n')
+    for flags, kind in (([], "mlp"), (["--model", "ridge"], "ridge")):
+        path = tmp_path / f"{kind}.json"
+        code, _out, err = run_cli(
+            ["train", records, "--property", "mass_density", "--config", str(config),
+             "-o", str(path), *flags]
+        )
+        assert code == 0, err
+        assert json.loads(path.read_text())["kind"] == kind
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("epochs = 2.5", "epochs"),
+        ("batch_size = 8.9", "batch_size"),
+        ("epochs = true", "epochs"),
+        ("hidden = 32.5", "hidden"),
+        ("hidden = 8.5, 4", "hidden"),
+        ("learning_rate = nan", "learning_rate"),
+        ("learning_rate = inf", "learning_rate"),
+        ("learning_rate = 0", "learning_rate"),
+    ],
+)
+def test_bad_mlp_config_value_is_a_config_error(tmp_path, line, key):
+    records = _records_csv(tmp_path, _bulk_rows(20))
+    config = tmp_path / "mlp.cfg"
+    config.write_text(f"schema_version = 1\nbatch_size = 8\n{line}\n")
+    code, out, err = run_cli(
+        ["train", records, "--property", "mass_density", "--model", "mlp",
+         "--config", str(config), "-o", str(tmp_path / "m.json")]
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error[config]:") and key in err and err.count("\n") == 1, err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_similarity_combined_mean(tmp_path):
     smi = tmp_path / "mols.smi"
     smi.write_text("c1ccccc1\nCc1ccccc1\n")

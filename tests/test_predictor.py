@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -184,6 +185,36 @@ def test_gradients_match_finite_differences():
                 fd = (lp - lm) / (2 * h)
                 scale = max(abs(fd), abs(grads_w[k][index]), 1e-8)
                 assert abs(fd - grads_w[k][index]) / scale < 1e-4
+
+
+# sha256 of the weights, biases and loss trace after training on a seeded
+# 200x7 problem, per (activation, hidden layers). A change to initialization,
+# the forward pass or backpropagation that moves any bit fails here.
+MLP_TRAINING_SHA256 = {
+    ("tanh", ()): "9ebaec2e293a006ae2d069c3da0aa21eec60065dac9c8d1b334a914e0ca24f5b",
+    ("tanh", (8,)): "89339badfbdd6b9ed7f4b1d98c5cf39c2de5110bee79cab4a420bc2f4ceb731f",
+    ("tanh", (8, 4)): "6fd1b68aac0ac8fc37b520b575cc0fae5f300342c028c47908d38f5957c19fcc",
+    ("tanh", (6, 5, 3)): "976dd75f679b9af770b9818e0fc432d3a70d861c51e0252a28dfdb8ea383fa67",
+    ("relu", ()): "9ebaec2e293a006ae2d069c3da0aa21eec60065dac9c8d1b334a914e0ca24f5b",
+    ("relu", (8,)): "1bf31277be15f385097e768d9ccd83e4d27da1dc832ddf3b6bbcd91184446d0f",
+    ("relu", (8, 4)): "9b1e6b033d3aa47898bd07f5b4977596ce562129287a2b9ff7699ac11ee28f4b",
+    ("relu", (6, 5, 3)): "29a26ed9ac078349bdc49b948c0e74c408db25c25d4c4206df6f7210e07ddbeb",
+}
+
+
+@pytest.mark.parametrize("activation, hidden", sorted(MLP_TRAINING_SHA256))
+def test_mlp_training_equals_pinned_digest(activation, hidden):
+    rng = np.random.Generator(np.random.PCG64(14))
+    X = rng.normal(size=(200, 7))
+    y = np.sin(X[:, 0]) + X[:, 1] * X[:, 2] + 0.1 * rng.normal(size=200)
+    cfg = MLPConfig(
+        hidden=hidden, activation=activation, learning_rate=1e-2, batch_size=16, epochs=4, seed=5
+    )
+    model = train_mlp(X, y, cfg)
+    h = hashlib.sha256()
+    for array in [*model.weights, *model.biases, np.asarray(model.loss_trace)]:
+        h.update(array.tobytes())
+    assert h.hexdigest() == MLP_TRAINING_SHA256[activation, hidden]
 
 
 def test_predict_property_mismatch():
