@@ -6,7 +6,8 @@ respelling must canonicalize to the same string, and its first-sight
 fingerprints (one parse for the canonical SMILES and the fingerprint) must
 equal the fingerprints of the canonical SMILES's own parse, whatever the
 molecule table already holds. Mutated fixture-ion SMILES must be rejected
-with an ``IlkitError`` or reach a fixed point with the same ECFP.
+with an ``IlkitError`` or reach a fixed point with the same ECFP, and the
+reader must parse or reject them exactly as its frozen oracle does.
 """
 
 import functools
@@ -20,6 +21,7 @@ from ilkit.chem import canonicalize, parse_smiles, table, write_smiles
 from ilkit.errors import IlkitError
 from ilkit.fingerprints import make_fingerprint
 from ilkit.screening import FingerprintCache
+from oracles import parse_oracle
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -113,3 +115,10 @@ def test_mutated_ion_smiles_are_rejected_or_reach_a_fixed_point(text):
         return
     assert canonicalize(canonical) == canonical
     assert fp == make_fingerprint(parse_smiles(canonical), "ecfp", 2, 2048)
+
+
+@hypothesis.settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@hypothesis.given(text=_mutated_ion())
+def test_mutated_ion_smiles_parse_as_the_frozen_oracle_does(text):
+    want = parse_oracle.outcome(parse_oracle.parse_smiles, text)
+    assert parse_oracle.outcome(parse_smiles, text) == want

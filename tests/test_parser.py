@@ -1,14 +1,17 @@
 import hashlib
+import random
 import re
 import sys
 
 import pytest
 
-from genmol import HYPERVALENT_ANIONS
-from ilkit.chem import from_graph, mol as mol_module, parse_smiles
+from conftest import load_ions
+from genmol import CURATED_SMILES, HYPERVALENT_ANIONS, SYMMETRIC_PANEL, corpus
+from ilkit.chem import build, from_graph, mol as mol_module, parse_smiles, write_smiles
 from ilkit.chem.elements import allowed_valences
 from ilkit.chem.mol import AROMATIC, DOUBLE, SINGLE, TRIPLE
 from ilkit.errors import AromaticityError, IlkitError, SmilesSyntaxError, ValenceError
+from oracles import parse_oracle
 
 
 def test_ethanol_counts():
@@ -309,3 +312,94 @@ def test_from_graph_accepts_every_stereo_label(label, stereo):
     atoms = [{"element": "C"}, {"element": "C"}, {"element": "C"}, {"element": "Cl"}]
     mol = from_graph(atoms, [(0, 1), (1, 2, "double", label), (2, 3)])
     assert mol.bonds[1].stereo == stereo
+
+
+# One string per raise site of the reader, with its exact message. ("element
+# X cannot be aromatic" is unreachable from text: the bracket grammar admits
+# only lowercase b, c, n, o, p and s, all of which may be aromatic.)
+MALFORMED = [
+    (None, SmilesSyntaxError, "empty SMILES string"),
+    ("   ", SmilesSyntaxError, "empty SMILES string"),
+    ("C C", SmilesSyntaxError, "SMILES must not contain internal whitespace"),
+    ("C\u00a0C", SmilesSyntaxError, "SMILES must not contain internal whitespace"),
+    ("C\x1cC", SmilesSyntaxError, "SMILES must not contain internal whitespace"),
+    ("C[N", SmilesSyntaxError, "unterminated bracket atom (at position 1)"),
+    ("C[N+:1]", SmilesSyntaxError, "malformed bracket atom '[N+:1]' (at position 1)"),
+    ("[Xx]", SmilesSyntaxError, "unknown element 'Xx' (at position 0)"),
+    ("C[C++++++++++]", SmilesSyntaxError, "unreasonable charge +10 (at position 1)"),
+    ("C11", SmilesSyntaxError, "ring bond joins an atom to itself (at position 2)"),
+    ("C1C1", SmilesSyntaxError, "duplicate bond between atoms 0 and 1 (at position 3)"),
+    ("C.=C", SmilesSyntaxError, "bond symbol with no preceding atom (at position 2)"),
+    ("(C)", SmilesSyntaxError, "branch opened before any atom (at position 0)"),
+    ("C=(C)", SmilesSyntaxError, "bond symbol before '(' (at position 2)"),
+    ("C)", SmilesSyntaxError, "unmatched ')' (at position 1)"),
+    ("C(C=)C", SmilesSyntaxError, "dangling bond symbol before ')' (at position 4)"),
+    ("C(C.C)", SmilesSyntaxError, "dot separator inside a branch (at position 3)"),
+    ("C=.C", SmilesSyntaxError, "bond symbol before dot separator (at position 2)"),
+    ("C==C", SmilesSyntaxError, "two consecutive bond symbols (at position 2)"),
+    ("C%1C", SmilesSyntaxError, "'%' must be followed by two digits (at position 1)"),
+    ("%10C", SmilesSyntaxError, "ring-closure digit before any atom (at position 2)"),
+    ("C=1CCCC#1", SmilesSyntaxError, "conflicting bond symbols on ring closure 1 (at position 8)"),
+    ("CC$C", SmilesSyntaxError, "unsupported token '$' (at position 2)"),
+    ("CC(C", SmilesSyntaxError, "unclosed branch: missing ')'"),
+    ("C1CC2", SmilesSyntaxError, "unclosed ring bond(s): 1, 2"),
+    ("CC=", SmilesSyntaxError, "dangling bond symbol at end of input (at position 2)"),
+    (".", SmilesSyntaxError, "no atoms in SMILES string"),
+    ("F/C(\\Cl)=C/F", SmilesSyntaxError, "conflicting directional bonds around atom 1"),
+    ("CC(C)(C)(C)C", ValenceError, "atom 1: C with bond order sum 5 exceeds allowed valences [4]"),
+    ("C[NH4+]", ValenceError, "atom 1 (N, +1) has valence 5, above the allowed maximum 4"),
+    ("Cc", AromaticityError, "atom 1 (C) is flagged aromatic but lies in no aromatic ring"),
+    ("CC:C", AromaticityError, "aromatic bond between atoms 1 and 2 lies in no aromatic ring"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", MALFORMED)
+def test_malformed_smiles_raise_exact_message_and_position(text, error, message):
+    with pytest.raises(IlkitError) as info:
+        parse_smiles(text)
+    assert (type(info.value), str(info.value)) == (error, message)
+    at = re.search(r"\(at position (\d+)\)$", message)
+    assert getattr(info.value, "position", None) == (int(at.group(1)) if at else None)
+    assert parse_oracle.outcome(parse_oracle.parse_smiles, text) == (error, message)
+
+
+def test_parse_equals_frozen_oracle_on_panel_texts(equality_panel):
+    texts = [*CURATED_SMILES, *SYMMETRIC_PANEL.values(), *HYPERVALENT_ANIONS.values(),
+             *load_ions().values()]
+    rng = random.Random(0)
+    for mol in equality_panel:
+        order = list(range(len(mol.atoms)))
+        rng.shuffle(order)
+        texts += [write_smiles(mol), write_smiles(mol, order)]
+    for text in texts:
+        want = parse_oracle.outcome(parse_oracle.parse_smiles, text)
+        assert parse_oracle.outcome(parse_smiles, text) == want, text
+
+
+def _ladder_graph(k):
+    bonds = [(i, i + 1) for i in range(k - 1)] + [(k + i, k + i + 1) for i in range(k - 1)]
+    return [{"element": "C"} for _ in range(2 * k)], bonds + [(i, k + i) for i in range(k)]
+
+
+# from_graph inputs the corpora do not reach: its perception errors.
+_BAD_GRAPHS = [
+    ([{"element": "C"}] * 6, [(0, i) for i in range(1, 6)]),
+    ([{"element": "N", "charge": 1, "explicit_h": 4}, {"element": "C"}], [(0, 1)]),
+    ([{"element": "C", "aromatic": True}], []),
+    ([{"element": "C"}] * 2, [(0, 1, "aromatic")]),
+]
+
+
+def test_from_graph_equals_frozen_oracle_on_corpora_and_ladders(monkeypatch):
+    graphs = [_ladder_graph(k) for k in (1, 11, 100, 101)] + _BAD_GRAPHS
+
+    def build_all():
+        mols = [m for seed in range(4) for m in corpus(seed=seed, size=250, max_heavy=24)]
+        return [parse_oracle.fields(m) for m in mols] + [
+            parse_oracle.outcome(from_graph, *g) for g in graphs
+        ]
+
+    got = build_all()
+    monkeypatch.setattr(build, "finalize", parse_oracle.finalize)
+    assert got == build_all()
+
