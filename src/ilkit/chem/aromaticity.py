@@ -11,10 +11,8 @@ lowercase inputs, under any atom numbering, converge to the same flags.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from ..errors import AromaticityError
-from .mol import AROMATIC, DOUBLE, TRIPLE, Adjacency, Atom, Bond
+from .mol import AROMATIC, DOUBLE, TRIPLE, Adjacency, Atom
 
 _HUCKEL_COUNTS = (2, 6, 10)
 _LONE_PAIR_DONORS = frozenset({"N", "P", "As", "O", "S", "Se"})
@@ -24,7 +22,7 @@ def _contribution_set(
     idx: int,
     ring: set[int],
     atoms: list[Atom],
-    bonds: list[Bond],
+    orders: list[str],
     adj: Adjacency,
     candidate_atoms: set[int],
 ) -> tuple[int, ...] | None:
@@ -42,7 +40,7 @@ def _contribution_set(
     aromatic_in_ring = 0
     aromatic_outside = 0
     for other, bi in adj[idx]:
-        order = bonds[bi].order
+        order = orders[bi]
         if order == TRIPLE:
             return None
         if order == DOUBLE:
@@ -119,16 +117,20 @@ def _ring_is_aromatic(sets: list[tuple[int, ...]]) -> bool:
 
 def perceive_aromaticity(
     atoms: list[Atom],
-    bonds: list[Bond],
+    ends: list[tuple[int, int]],
+    orders: list[str],
     adj: Adjacency,
     rings: list[tuple[int, ...]],
-) -> tuple[list[Atom], list[Bond]]:
-    """Return atoms/bonds with perceived aromatic flags and bond orders.
+) -> tuple[set[int], set[int]]:
+    """Indices of the atoms and of the bonds in perceived aromatic rings.
 
-    ``adj`` is the molecule's ``build_adjacency``; ``rings`` must hold every
-    simple cycle of size 5-7. Raises AromaticityError when lowercase flags
-    or explicit aromatic bonds cannot be placed in any perceived aromatic
-    ring.
+    ``ends`` and ``orders`` hold each bond's two atoms and its order as
+    written, ``adj`` is their ``build_adjacency`` and ``rings`` must hold
+    every simple cycle of size 5-7. Nothing is changed: the caller sets the
+    aromatic flag of the returned atoms and the aromatic order (with no
+    stereo) of the returned bonds. Raises AromaticityError when lowercase
+    flags or explicit aromatic bonds cannot be placed in any perceived
+    aromatic ring, atoms before bonds.
     """
     candidates = [r for r in rings if 5 <= len(r) <= 7]
     candidate_atoms = {i for r in candidates for i in r}
@@ -140,7 +142,7 @@ def perceive_aromaticity(
         sets = []
         ok = True
         for idx in ring:
-            s = _contribution_set(idx, ring_set, atoms, bonds, adj, candidate_atoms)
+            s = _contribution_set(idx, ring_set, atoms, orders, adj, candidate_atoms)
             if s is None:
                 ok = False
                 break
@@ -158,21 +160,10 @@ def perceive_aromaticity(
             raise AromaticityError(
                 f"atom {idx} ({atom.element}) is flagged aromatic but lies in no aromatic ring"
             )
-    for bi, bond in enumerate(bonds):
-        if bond.order == AROMATIC and bi not in aromatic_bonds:
+    for bi, order in enumerate(orders):
+        if order == AROMATIC and bi not in aromatic_bonds:
+            a, b = ends[bi]
             raise AromaticityError(
-                f"aromatic bond between atoms {bond.a} and {bond.b} lies in no aromatic ring"
+                f"aromatic bond between atoms {a} and {b} lies in no aromatic ring"
             )
-
-    # Flagged atoms outside every aromatic ring raised above: flags only turn on.
-    new_atoms = [
-        replace(atom, aromatic=True) if idx in aromatic_atoms and not atom.aromatic else atom
-        for idx, atom in enumerate(atoms)
-    ]
-    new_bonds = []
-    for bi, bond in enumerate(bonds):
-        if bi in aromatic_bonds:
-            new_bonds.append(replace(bond, order=AROMATIC, stereo="none"))
-        else:
-            new_bonds.append(bond)
-    return new_atoms, new_bonds
+    return aromatic_atoms, aromatic_bonds

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ..errors import ValenceError
 
 # Elements writable without brackets.
@@ -102,8 +104,9 @@ def atomic_weight(symbol: str) -> float:
     return ELEMENTS[symbol][1]
 
 
+@lru_cache(maxsize=len(ELEMENTS) * 19)  # every known element at charges -9..9
 def allowed_valences(element: str, charge: int) -> tuple[int, ...] | None:
-    """Valences an element may carry at the given formal charge.
+    """Valences an element may carry at the given formal charge, ascending.
 
     Returns None for elements outside the valence table (metals etc.); such
     atoms are exempt from valence checking and never get implicit hydrogens.
@@ -141,10 +144,10 @@ def implied_hydrogens(element: str, charge: int, aromatic: bool, bond_order_sum:
     if valences is None:
         return 0
     if aromatic:
-        return max(0, min(valences) - n_neighbors - 1)
-    for v in sorted(valences):
+        return max(0, valences[0] - n_neighbors - 1)
+    for v in valences:
         if v >= bond_order_sum:
             return v - bond_order_sum
     raise ValenceError(
-        f"{element} with bond order sum {bond_order_sum} exceeds allowed valences {sorted(valences)}"
+        f"{element} with bond order sum {bond_order_sum} exceeds allowed valences {list(valences)}"
     )

@@ -3,9 +3,13 @@
 Supported grammar: organic-subset atoms, bracket atoms with isotope /
 chirality / hydrogen count / charge, ring-closure digits (including %nn),
 branches, bond symbols ``- = # : / \\``, dot-separated fragments, and the
-tetrahedral marks ``@`` / ``@@``. Parsing preserves input atom order, fills
-implicit hydrogens from the valence table, perceives rings and aromaticity,
-and normalizes directional marks into per-bond cis/trans labels.
+tetrahedral marks ``@`` / ``@@``. Parsing preserves input atom order. One
+scan of the text collects raw atoms (organic-subset atoms share one raw atom
+per symbol) and bonds; ``finalize`` then fills implicit hydrogens from the
+valence table, finds ring bonds and, only when there are any, the rings,
+takes the indices of aromatic atoms and bonds from perception, builds each
+``Atom`` and ``Bond`` once, checks valences, and normalizes directional marks
+into per-bond cis/trans labels.
 """
 
 from __future__ import annotations
@@ -45,7 +49,10 @@ _BRACKET_RE = re.compile(
     r"\[(?P<isotope>\d+)?(?P<symbol>[A-Z][a-z]?|[bcnops])"
     r"(?P<chirality>@{1,2})?(?P<hcount>H\d*)?(?P<charge>\++\d*|-+\d*)?\]"
 )
+_WHITESPACE = re.compile(r"\s").search  # the test str.isspace makes
 
+# The bond an omitted symbol stands for, by whether both ends are aromatic.
+_IMPLICIT_BOND = {False: (SINGLE, 0), True: (AROMATIC, 0)}
 _BOND_SYMBOLS = {
     "-": (SINGLE, 0),
     "=": (DOUBLE, 0),
@@ -102,24 +109,19 @@ def _parse_bracket(text: str, start: int) -> tuple[_RawAtom, int]:
     return _RawAtom(element, charge, hcount, aromatic, isotope, chirality, True), end + 1
 
 
-def _match_organic(text: str, i: int) -> tuple[_RawAtom, int] | None:
-    two = text[i : i + 2]
-    if two in ("Cl", "Br"):
-        return _RawAtom(two, 0, 0, False, None, CHI_NONE, False), i + 2
-    ch = text[i]
-    if ch in ("B", "C", "N", "O", "P", "S", "F", "I"):
-        return _RawAtom(ch, 0, 0, False, None, CHI_NONE, False), i + 1
-    if ch in ("b", "c", "n", "o", "p", "s"):
-        return _RawAtom(ch.upper(), 0, 0, True, None, CHI_NONE, False), i + 1
-    return None
+# One shared raw atom per organic-subset token; parsing never mutates them.
+_ORGANIC = {
+    **{sym: _RawAtom(sym, 0, 0, False, None, CHI_NONE, False) for sym in ORGANIC_SUBSET},
+    **{sym.lower(): _RawAtom(sym, 0, 0, True, None, CHI_NONE, False) for sym in AROMATIC_ELEMENTS},
+}
 
 
 def parse_smiles(text: str) -> Molecule:
     """Parse a SMILES string into a finalized Molecule."""
-    if text is None or not text.strip():
+    s = text.strip() if text is not None else ""
+    if not s:
         raise SmilesSyntaxError("empty SMILES string")
-    s = text.strip()
-    if any(ch.isspace() for ch in s):
+    if _WHITESPACE(s):
         raise SmilesSyntaxError("SMILES must not contain internal whitespace")
 
     atoms: list[_RawAtom] = []
@@ -133,44 +135,38 @@ def parse_smiles(text: str) -> Molecule:
     pending_pos = 0
     open_rings: dict[int, tuple[int, tuple[str, int] | None, int]] = {}
 
-    def add_bond(a: int, b: int, spec: tuple[str, int] | None, pos: int) -> None:
-        key = (min(a, b), max(a, b))
-        if a == b:
-            raise SmilesSyntaxError("ring bond joins an atom to itself", pos)
-        if key in bond_keys:
-            raise SmilesSyntaxError(f"duplicate bond between atoms {a} and {b}", pos)
-        bond_keys.add(key)
-        if spec is None:
-            both_aromatic = atoms[a].aromatic and atoms[b].aromatic
-            order, direction = (AROMATIC, 0) if both_aromatic else (SINGLE, 0)
-        else:
-            order, direction = spec
-        bonds.append([a, b, order, direction])
-
-    def new_atom(raw: _RawAtom, pos: int) -> None:
-        nonlocal prev, pending
-        idx = len(atoms)
-        atoms.append(raw)
-        if raw.chirality:
-            seqs[idx] = []
-        if prev is not None:
-            add_bond(prev, idx, pending, pos)
-            if prev in seqs:
-                seqs[prev].append(idx)
-            if raw.chirality:
-                seqs[idx].append(prev)
-        elif pending is not None:
-            raise SmilesSyntaxError("bond symbol with no preceding atom", pending_pos)
-        if raw.chirality and raw.explicit_h:
-            seqs[idx].append(HYDROGEN_SENTINEL)
-        prev = idx
-        pending = None
-
     i = 0
     n = len(s)
     while i < n:
         ch = s[i]
-        if ch == "(":
+        if ch in _ORGANIC or ch == "[":
+            if ch == "[":
+                raw, i = _parse_bracket(s, i)
+            else:
+                token = s[i : i + 2] if s[i : i + 2] in ("Cl", "Br") else ch
+                raw = _ORGANIC[token]
+                i += len(token)
+            idx = len(atoms)
+            atoms.append(raw)
+            if raw.chirality:
+                seqs[idx] = []
+            if prev is not None:
+                # A bond to a new atom cannot join it to itself or repeat a bond.
+                bond_keys.add((prev, idx))
+                if pending is None:
+                    pending = _IMPLICIT_BOND[raw.aromatic and atoms[prev].aromatic]
+                bonds.append([prev, idx, *pending])
+                if prev in seqs:
+                    seqs[prev].append(idx)
+                if raw.chirality:
+                    seqs[idx].append(prev)
+            elif pending is not None:
+                raise SmilesSyntaxError("bond symbol with no preceding atom", pending_pos)
+            if raw.chirality and raw.explicit_h:
+                seqs[idx].append(HYDROGEN_SENTINEL)
+            prev = idx
+            pending = None
+        elif ch == "(":
             if prev is None:
                 raise SmilesSyntaxError("branch opened before any atom", i)
             if pending is not None:
@@ -222,7 +218,15 @@ def parse_smiles(text: str) -> Molecule:
                 elif pending is not None:
                     o2, d2 = pending
                     spec = (o2, -d2)  # closing-side mark is written toward the opener
-                add_bond(a, prev, spec, i - 1)
+                if a == prev:
+                    raise SmilesSyntaxError("ring bond joins an atom to itself", i - 1)
+                key = (a, prev) if a < prev else (prev, a)
+                if key in bond_keys:
+                    raise SmilesSyntaxError(f"duplicate bond between atoms {a} and {prev}", i - 1)
+                bond_keys.add(key)
+                if spec is None:
+                    spec = _IMPLICIT_BOND[atoms[a].aromatic and atoms[prev].aromatic]
+                bonds.append([a, prev, *spec])
                 if a in seqs:
                     slot = seqs[a].index(("ring", num))
                     seqs[a][slot] = prev
@@ -233,15 +237,8 @@ def parse_smiles(text: str) -> Molecule:
                 if prev in seqs:
                     seqs[prev].append(("ring", num))
             pending = None
-        elif ch == "[":
-            raw, i = _parse_bracket(s, i)
-            new_atom(raw, i)
         else:
-            matched = _match_organic(s, i)
-            if matched is None:
-                raise SmilesSyntaxError(f"unsupported token {ch!r}", i)
-            raw, i = matched
-            new_atom(raw, i)
+            raise SmilesSyntaxError(f"unsupported token {ch!r}", i)
 
     if branch_stack:
         raise SmilesSyntaxError("unclosed branch: missing ')'")
@@ -257,11 +254,24 @@ def parse_smiles(text: str) -> Molecule:
 
 
 def finalize(raw_atoms: list[_RawAtom], raw_bonds: list[list], seqs: dict[int, list]) -> Molecule:
-    """Shared build pipeline: H filling, ring/aromaticity perception, validation."""
+    """Shared build pipeline of ``parse_smiles`` and ``from_graph``.
+
+    In order: implicit hydrogens fill the bare atoms and each ``Atom`` is
+    built; ring bonds are found and, only when there are any, the SSSR and
+    every cycle of up to 7 atoms (the SSSR itself when its rings share no
+    bond); aromaticity perception returns the aromatic atom and bond indices,
+    and an atom is rebuilt only when its aromatic flag turns on; each
+    ``Bond`` is built once, with its final order and ring flag; valences are
+    checked; directional marks become cis/trans labels (a labelled bond is
+    rebuilt); and chirality marks no tetrahedral center can carry are
+    dropped (such an atom is rebuilt).
+    """
     n = len(raw_atoms)
-    adj = build_adjacency(n, [(a, b) for a, b, _o, _d in raw_bonds])
+    ends = [(a, b) for a, b, _o, _d in raw_bonds]
+    orders = [order for _a, _b, order, _d in raw_bonds]
+    adj = build_adjacency(n, ends)
     order_sum = [0] * n
-    for a, b, order, _d in raw_bonds:
+    for (a, b), order in zip(ends, orders):
         v = BOND_ORDER_VALUE[order]
         order_sum[a] += v
         order_sum[b] += v
@@ -279,56 +289,51 @@ def finalize(raw_atoms: list[_RawAtom], raw_bonds: list[list], seqs: dict[int, l
         else:
             explicit = raw.explicit_h
             implicit = 0
-        atoms.append(
-            Atom(
-                element=raw.element,
-                formal_charge=raw.charge,
-                explicit_h=explicit,
-                implicit_h=implicit,
-                aromatic=raw.aromatic,
-                chirality=raw.chirality,
-                isotope=raw.isotope,
-            )
-        )
+        # Positional fields: keywords make these constructors a third slower.
+        atoms.append(Atom(raw.element, raw.charge, explicit, implicit, raw.aromatic,
+                          raw.chirality, raw.isotope))
 
     ring_flags = ring_bond_flags(adj)
-    ring_adj = ring_subgraph(adj, ring_flags)
-    rings = sssr(ring_adj)
+    rings = cycles = []
+    if True in ring_flags:
+        ring_adj = ring_subgraph(adj, ring_flags)
+        rings = cycles = sssr(ring_adj)
+        # Rings that cover each ring bond once share no bond, so no other cycle exists.
+        if sum(map(len, rings)) != ring_flags.count(True):
+            cycles = small_cycles(ring_adj, max_size=7)
+    aromatic_atoms, aromatic_bonds = perceive_aromaticity(atoms, ends, orders, adj, cycles)
+    for i in aromatic_atoms:
+        if not atoms[i].aromatic:
+            atoms[i] = replace(atoms[i], aromatic=True)
+    for bi in aromatic_bonds:
+        orders[bi] = AROMATIC
+    bonds = [Bond(a, b, o, STEREO_NONE, f) for (a, b), o, f in zip(ends, orders, ring_flags)]
 
-    bonds = [
-        Bond(a=a, b=b, order=order, stereo=STEREO_NONE, in_ring=flag)
-        for (a, b, order, _d), flag in zip(raw_bonds, ring_flags)
-    ]
-    candidates = small_cycles(ring_adj, max_size=7)
-    atoms, bonds = perceive_aromaticity(atoms, bonds, adj, candidates)
-
-    _validate_valences(atoms, bonds)
+    _validate_valences(atoms, ends, orders)
 
     directions = {bi: d for bi, (_a, _b, _o, d) in enumerate(raw_bonds) if d}
     bonds = _assign_double_bond_stereo(atoms, bonds, adj, directions)
 
     chiral_seq: dict[int, tuple[int, ...]] = {}
-    final_atoms: list[Atom] = []
     for i, atom in enumerate(atoms):
         if atom.chirality:
             seq = seqs.get(i, [])
             want = len(adj[i]) + (1 if atom.explicit_h else 0)
             if len(seq) != want or len(seq) not in (3, 4) or atom.total_h > 1:
                 # Not a sequenceable tetrahedral center; the mark is meaningless.
-                atom = replace(atom, chirality=CHI_NONE)
+                atoms[i] = replace(atom, chirality=CHI_NONE)
             else:
                 chiral_seq[i] = tuple(seq)
-        final_atoms.append(atom)
 
-    return Molecule(tuple(final_atoms), tuple(bonds), tuple(rings), adj, chiral_seq)
+    return Molecule(tuple(atoms), tuple(bonds), tuple(rings), adj, chiral_seq)
 
 
-def _validate_valences(atoms: list[Atom], bonds: list[Bond]) -> None:
+def _validate_valences(atoms: list[Atom], ends: list[tuple[int, int]], orders: list[str]) -> None:
     total = [a.total_h for a in atoms]
-    for bond in bonds:
-        v = BOND_ORDER_VALUE[bond.order]
-        total[bond.a] += v
-        total[bond.b] += v
+    for (a, b), order in zip(ends, orders):
+        v = BOND_ORDER_VALUE[order]
+        total[a] += v
+        total[b] += v
     for i, atom in enumerate(atoms):
         allowed = allowed_valences(atom.element, atom.formal_charge)
         if allowed is None:

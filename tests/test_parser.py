@@ -403,3 +403,19 @@ def test_from_graph_equals_frozen_oracle_on_corpora_and_ladders(monkeypatch):
     monkeypatch.setattr(build, "finalize", parse_oracle.finalize)
     assert got == build_all()
 
+
+
+def test_parse_builds_each_atom_and_bond_once(monkeypatch):
+    built = {mol_module.Atom: 0, mol_module.Bond: 0}
+    for cls in built:
+        original = cls.__init__
+
+        def counted(self, *args, _cls=cls, _original=original, **kwargs):
+            built[_cls] += 1
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    mol = parse_smiles("c1ccccc1CC(=O)[O-]")
+    assert (len(mol.atoms), len(mol.bonds)) == (10, 10)
+    assert built == {mol_module.Atom: 10, mol_module.Bond: 10}
