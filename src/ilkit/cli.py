@@ -62,6 +62,7 @@ from .screening import (
 
 DEFAULT_SEED = 42
 MODEL_HELP = "model kind (default: the config file's model, else ridge)"
+SEED_HELP = f"MLP seed (default: the config file's seed, else {DEFAULT_SEED})"
 
 
 def _read_config_file(path: str) -> dict:
@@ -161,11 +162,14 @@ def _search_config(args) -> SearchConfig:
     return cfg
 
 
-def _mlp_config(values: dict, seed: int) -> MLPConfig:
-    """``MLPConfig`` defaults with ``seed``, overridden by the config file's
-    keys, each of its default's type (a float may be an int, an int no bool)."""
-    cfg = MLPConfig(seed=seed)
+def _mlp_config(values: dict, seed: int | None) -> MLPConfig:
+    """``MLPConfig`` defaults with ``DEFAULT_SEED``, overridden by the config
+    file's keys, each of its default's type (a float may be an int, an int no
+    bool), and then by a ``seed`` flag that is not None."""
+    cfg = MLPConfig(seed=DEFAULT_SEED)
     given = {k: v for k, v in values.items() if k in MLPConfig.__dataclass_fields__}
+    if seed is not None:
+        given["seed"] = seed
     if type(given.get("hidden")) is int:
         given["hidden"] = (given["hidden"],)
     for key, value in given.items():
@@ -184,10 +188,12 @@ def _make_trainer(args, property_name: str):
     if kind == "ridge":
         lam = getattr(args, "ridge_lambda", None)
         if lam is None:
-            lam = float(values.get("lambda", 1.0))
-        return kind, lambda X, y: train_ridge(X, y, lam, property_name)
+            lam = values.get("lambda", 1.0)
+            if type(lam) not in (int, float):
+                raise ConfigError(f"config key lambda: {lam!r} is not a number")
+        return kind, lambda X, y: train_ridge(X, y, float(lam), property_name)
     if kind == "mlp":
-        cfg = _mlp_config(values, getattr(args, "seed", DEFAULT_SEED))
+        cfg = _mlp_config(values, getattr(args, "seed", None))
         return kind, lambda X, y: train_mlp(X, y, cfg, property_name)
     raise ConfigError(f"unknown model kind {kind!r}")
 
@@ -297,8 +303,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     records = load_records(args.records)
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     plan = make_split(
-        [r for r in records if r.property == args.property], args.scheme, args.k, args.seed
+        [r for r in records if r.property == args.property], args.scheme, args.k, seed
     )
     _kind, trainer = _make_trainer(args, args.property)
     report = cross_validate(records, plan, trainer, args.property)
@@ -460,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", dest="model_kind", choices=["ridge", "mlp"], help=MODEL_HELP)
     p.add_argument("--lambda", dest="ridge_lambda", type=float, help="ridge penalty")
     p.add_argument("--config", help="model config file (key = value)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, help=SEED_HELP)
     p.add_argument("-o", "--output", required=True, help="model JSON path")
     p.add_argument("--trace-out", help="write per-epoch loss trace CSV")
     p.set_defaults(func=_cmd_train)
@@ -470,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--property", required=True)
     p.add_argument("--scheme", choices=list(SCHEMES), required=True)
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, help=f"split seed (default {DEFAULT_SEED}) and {SEED_HELP}")
     p.add_argument("--model", dest="model_kind", choices=["ridge", "mlp"], help=MODEL_HELP)
     p.add_argument("--lambda", dest="ridge_lambda", type=float)
     p.add_argument("--config", help="model config file")

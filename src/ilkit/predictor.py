@@ -100,8 +100,8 @@ def train_ridge(X, y, lam: float, property_name: str = "") -> RidgeModel:
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or len(X) != len(y) or len(y) < 1:
         raise TrainingError("X must be 2-D with one target per row")
-    if lam < 0:
-        raise TrainingError("lambda must be >= 0")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise TrainingError(f"lambda must be finite and >= 0, not {lam}")
     std = Standardizer.fit(X)
     Z = std.transform(X)
     y_mean = float(y.mean())

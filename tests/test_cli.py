@@ -590,6 +590,62 @@ def test_bad_mlp_config_value_is_a_config_error(tmp_path, line, key):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_seed_flag_overrides_the_config_file_seed(tmp_path):
+    records = _records_csv(tmp_path, _bulk_rows(20))
+    config = tmp_path / "mlp.cfg"
+    config.write_text("schema_version = 1\nhidden = 4\nbatch_size = 8\nepochs = 2\nseed = 5\n")
+    models = {}
+    for seed in (None, 1, 2, 5):
+        path = tmp_path / f"m{seed}.json"
+        flags = [] if seed is None else ["--seed", str(seed)]
+        code, _out, err = run_cli(
+            ["train", records, "--property", "mass_density", "--model", "mlp",
+             "--config", str(config), "-o", str(path), *flags]
+        )
+        assert code == 0, err
+        models[seed] = path.read_text()
+    # Without the flag the file's seed applies; the flag wins over it.
+    assert models[None] == models[5]
+    assert len({models[1], models[2], models[5]}) == 3
+    # With neither, the seed is 42, for training and for evaluate's split.
+    plain = tmp_path / "plain.cfg"
+    plain.write_text("schema_version = 1\nhidden = 4\nbatch_size = 8\nepochs = 2\n")
+    outputs = []
+    for flags in ([], ["--seed", "42"]):
+        run_cli(["train", records, "--property", "mass_density", "--model", "mlp",
+                 "--config", str(plain), "-o", str(tmp_path / "t.json"), *flags])
+        run_cli(["evaluate", records, "--property", "mass_density", "--scheme", "cation",
+                 "--k", "3", "--model", "mlp", "--config", str(plain),
+                 "-o", str(tmp_path / "e.json"), *flags])
+        outputs.append(((tmp_path / "t.json").read_text(), (tmp_path / "e.json").read_text()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "flags, config_line, message",
+    [
+        (["--lambda", "nan"], None, "error[training]: lambda must be finite and >= 0, not nan"),
+        (["--lambda", "inf"], None, "error[training]: lambda must be finite and >= 0, not inf"),
+        ([], "lambda = nan", "error[training]: lambda must be finite and >= 0, not nan"),
+        ([], 'lambda = "x"', "error[config]: config key lambda: 'x' is not a number"),
+        ([], "lambda = x", "error[config]: config key lambda: 'x' is not a number"),
+        ([], "lambda = true", "error[config]: config key lambda: True is not a number"),
+        ([], "lambda = 1, 2", "error[config]: config key lambda: (1, 2) is not a number"),
+    ],
+)
+def test_bad_ridge_penalty_is_an_error(tmp_path, flags, config_line, message):
+    records = _records_csv(tmp_path, _bulk_rows(20))
+    if config_line is not None:
+        config = tmp_path / "ridge.cfg"
+        config.write_text(f"schema_version = 1\n{config_line}\n")
+        flags = [*flags, "--config", str(config)]
+    code, out, err = run_cli(
+        ["train", records, "--property", "mass_density", "-o", str(tmp_path / "m.json"), *flags]
+    )
+    assert (code, out, err) == (1, "", message + "\n")
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_similarity_combined_mean(tmp_path):
     smi = tmp_path / "mols.smi"
     smi.write_text("c1ccccc1\nCc1ccccc1\n")

@@ -100,6 +100,13 @@ def test_ridge_singular_without_penalty():
         train_ridge(X, y, lam=0.0)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+def test_ridge_rejects_a_penalty_that_is_not_finite_and_nonnegative(lam):
+    X, y = _planted_linear(n=20, d=3, seed=1)
+    with pytest.raises(TrainingError, match=f"lambda must be finite and >= 0, not {lam}"):
+        train_ridge(X, y, lam=lam)
+
+
 def test_ridge_normal_equation_residual():
     X, y = _planted_linear(n=200, d=12, seed=3)
     for lam in (0.0, 0.5, 10.0):
