@@ -49,7 +49,7 @@ _BRACKET_RE = re.compile(
     r"\[(?P<isotope>\d+)?(?P<symbol>[A-Z][a-z]?|[bcnops])"
     r"(?P<chirality>@{1,2})?(?P<hcount>H\d*)?(?P<charge>\++\d*|-+\d*)?\]"
 )
-_WHITESPACE = re.compile(r"\s").search  # the test str.isspace makes
+_WHITESPACE = re.compile(r"\s").search  # \s matches exactly the str.isspace characters
 
 # The bond an omitted symbol stands for, by whether both ends are aromatic.
 _IMPLICIT_BOND = {False: (SINGLE, 0), True: (AROMATIC, 0)}

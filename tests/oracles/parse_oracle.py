@@ -4,7 +4,8 @@ stood before parsing built each ``Atom`` and ``Bond`` once.
 Here every organic-subset atom gets its own ``_RawAtom``, every bond goes
 through ``add_bond``, ``finalize`` builds every ``Bond`` and then
 ``perceive_aromaticity`` rebuilds each aromatic bond and atom with
-``dataclasses.replace``, ring perception runs on acyclic molecules too, and
+``dataclasses.replace``, ring perception runs on acyclic molecules too, the
+short-cycle walk runs even when the SSSR's rings share no bond, and
 ``allowed_valences`` builds its tuples on every call. The tokenizer, the
 bracket-atom grammar, the valence table, hydrogen filling, aromaticity
 perception, valence validation and double-bond stereo are copied verbatim,

@@ -363,9 +363,20 @@ def test_malformed_smiles_raise_exact_message_and_position(text, error, message)
     assert parse_oracle.outcome(parse_oracle.parse_smiles, text) == (error, message)
 
 
+# Aromatic S, O, P and B, charged and Kekulé rings, explicit aromatic bonds,
+# and fused, bridged and chorded rings (where a 5-7 cycle lies outside the
+# SSSR), parsed or rejected.
+_PERCEPTION_TEXTS = [
+    "c1ccsc1", "s1cccc1", "c1ccoc1", "c1ccpc1", "b1ccccc1", "c1cc[n-]c1", "[cH-]1cccc1",
+    "c1c[s+]cc1", "c1cs(=O)cc1", "C1=CSC=C1", "P1C=CC=C1", "C1:C:C:C:C:C1", "c12ccc1cc2",
+    "C12=CC=C1C=C2", "C1CC2CCC1C2", "c1cc2ccc1cc2", "O=c1cc[nH]cc1", "c1ccc2[nH]ccc2c1",
+    "C1=CC2=CC=CC=CC2=C1", "c1ccc2c(c1)cc1ccccc12", "c1cc2cccc3ccc(c1)c23",
+]
+
+
 def test_parse_equals_frozen_oracle_on_panel_texts(equality_panel):
     texts = [*CURATED_SMILES, *SYMMETRIC_PANEL.values(), *HYPERVALENT_ANIONS.values(),
-             *load_ions().values()]
+             *load_ions().values(), *_PERCEPTION_TEXTS]
     rng = random.Random(0)
     for mol in equality_panel:
         order = list(range(len(mol.atoms)))
