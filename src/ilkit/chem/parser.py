@@ -258,13 +258,13 @@ def finalize(raw_atoms: list[_RawAtom], raw_bonds: list[list], seqs: dict[int, l
 
     In order: implicit hydrogens fill the bare atoms and each ``Atom`` is
     built; ring bonds are found and, only when there are any, the SSSR and
-    every cycle of up to 7 atoms (the SSSR itself when its rings share no
-    bond); aromaticity perception returns the aromatic atom and bond indices,
-    and an atom is rebuilt only when its aromatic flag turns on; each
-    ``Bond`` is built once, with its final order and ring flag; valences are
-    checked; directional marks become cis/trans labels (a labelled bond is
-    rebuilt); and chirality marks no tetrahedral center can carry are
-    dropped (such an atom is rebuilt).
+    every cycle of up to 7 atoms (the SSSR itself when every ring system
+    is a single cycle); aromaticity perception returns the aromatic atom
+    and bond indices, and an atom is rebuilt only when its aromatic flag
+    turns on; each ``Bond`` is built once, with its final order and ring
+    flag; valences are checked; directional marks become cis/trans labels
+    (a labelled bond is rebuilt); and chirality marks no tetrahedral center
+    can carry are dropped (such an atom is rebuilt).
     """
     n = len(raw_atoms)
     ends = [(a, b) for a, b, _o, _d in raw_bonds]
@@ -298,8 +298,9 @@ def finalize(raw_atoms: list[_RawAtom], raw_bonds: list[list], seqs: dict[int, l
     if True in ring_flags:
         ring_adj = ring_subgraph(adj, ring_flags)
         rings = cycles = sssr(ring_adj)
-        # Rings that cover each ring bond once share no bond, so no other cycle exists.
-        if sum(map(len, rings)) != ring_flags.count(True):
+        # With as many ring atoms as ring bonds every ring system is one cycle,
+        # so the SSSR holds every cycle there is.
+        if n - ring_adj.count([]) != ring_flags.count(True):
             cycles = small_cycles(ring_adj, max_size=7)
     aromatic_atoms, aromatic_bonds = perceive_aromaticity(atoms, ends, orders, adj, cycles)
     for i in aromatic_atoms:

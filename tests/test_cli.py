@@ -612,12 +612,20 @@ def test_seed_flag_overrides_the_config_file_seed(tmp_path):
     plain.write_text("schema_version = 1\nhidden = 4\nbatch_size = 8\nepochs = 2\n")
     outputs = []
     for flags in ([], ["--seed", "42"]):
-        run_cli(["train", records, "--property", "mass_density", "--model", "mlp",
-                 "--config", str(plain), "-o", str(tmp_path / "t.json"), *flags])
-        run_cli(["evaluate", records, "--property", "mass_density", "--scheme", "cation",
-                 "--k", "3", "--model", "mlp", "--config", str(plain),
-                 "-o", str(tmp_path / "e.json"), *flags])
-        outputs.append(((tmp_path / "t.json").read_text(), (tmp_path / "e.json").read_text()))
+        tag = len(outputs)
+        code, _out, err = run_cli(
+            ["train", records, "--property", "mass_density", "--model", "mlp",
+             "--config", str(plain), "-o", str(tmp_path / f"t{tag}.json"), *flags]
+        )
+        assert code == 0, err
+        code, _out, err = run_cli(
+            ["evaluate", records, "--property", "mass_density", "--scheme", "cation",
+             "--k", "3", "--model", "mlp", "--config", str(plain),
+             "-o", str(tmp_path / f"e{tag}.json"), *flags]
+        )
+        assert code == 0, err
+        outputs.append((tmp_path / f"t{tag}.json").read_text()
+                       + (tmp_path / f"e{tag}.json").read_text())
     assert outputs[0] == outputs[1]
 
 

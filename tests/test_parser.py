@@ -8,7 +8,7 @@ import pytest
 from conftest import load_ions
 from genmol import CURATED_SMILES, HYPERVALENT_ANIONS, SYMMETRIC_PANEL, corpus
 from ilkit.chem import build, from_graph, mol as mol_module, parse_smiles, write_smiles
-from ilkit.chem.elements import allowed_valences
+from ilkit.chem.elements import ELEMENTS, allowed_valences
 from ilkit.chem.mol import AROMATIC, DOUBLE, SINGLE, TRIPLE
 from ilkit.errors import AromaticityError, IlkitError, SmilesSyntaxError, ValenceError
 from oracles import parse_oracle
@@ -94,6 +94,14 @@ def test_hexacoordinate_valence_only_for_anionic_p_and_as():
         parse_smiles("F[P-](F)(F)(F)(F)(F)F")
     with pytest.raises(ValenceError):
         parse_smiles("F[N-](F)(F)(F)(F)F")
+
+
+def test_allowed_valences_ascend_for_every_element_and_charge():
+    # implied_hydrogens takes the first entry as the smallest valence.
+    for element in ELEMENTS:
+        for charge in range(-9, 10):
+            valences = allowed_valences(element, charge)
+            assert valences is None or list(valences) == sorted(valences), (element, charge)
 
 
 def test_bracket_atom_fields():
@@ -371,6 +379,10 @@ _PERCEPTION_TEXTS = [
     "c1c[s+]cc1", "c1cs(=O)cc1", "C1=CSC=C1", "P1C=CC=C1", "C1:C:C:C:C:C1", "c12ccc1cc2",
     "C12=CC=C1C=C2", "C1CC2CCC1C2", "c1cc2ccc1cc2", "O=c1cc[nH]cc1", "c1ccc2[nH]ccc2c1",
     "C1=CC2=CC=CC=CC2=C1", "c1ccc2c(c1)cc1ccccc12", "c1cc2cccc3ccc(c1)c23",
+    # A 5-cycle outside the SSSR although the SSSR ring sizes sum to the
+    # ring-bond count; spiro rings; separate single rings; a large ring.
+    "C125C(=C6C=CC=CS6=O)C13CC34CC42C5", "C12(CCC1)CCC2", "C1=CC2(C=C1)C=CC=C2",
+    "c1ccccc1-c1ccccc1", "C1CCCCCCCC1",
 ]
 
 
