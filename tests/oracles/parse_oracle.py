@@ -273,8 +273,10 @@ def perceive_aromaticity(
 
 _BRACKET_RE = re.compile(
     r"\[(?P<isotope>\d+)?(?P<symbol>[A-Z][a-z]?|[bcnops])"
-    r"(?P<chirality>@{1,2})?(?P<hcount>H\d*)?(?P<charge>\++\d*|-+\d*)?\]"
+    r"(?P<chirality>@{1,2})?(?P<hcount>H\d*)?(?P<charge>\++\d*|-+\d*)?\]",
+    re.ASCII,  # \d is 0-9 only, not every Unicode digit
 )
+_TWO_DIGITS = re.compile("[0-9]{2}").match
 
 _BOND_SYMBOLS = {
     "-": (SINGLE, 0),
@@ -427,9 +429,9 @@ def parse_smiles(text: str) -> Molecule:
             pending = _BOND_SYMBOLS[ch]
             pending_pos = i
             i += 1
-        elif ch.isdigit() or ch == "%":
+        elif "0" <= ch <= "9" or ch == "%":
             if ch == "%":
-                if i + 2 >= n + 1 or not s[i + 1 : i + 3].isdigit():
+                if not _TWO_DIGITS(s, i + 1):
                     raise SmilesSyntaxError("'%' must be followed by two digits", i)
                 num = int(s[i + 1 : i + 3])
                 i += 3

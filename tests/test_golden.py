@@ -78,6 +78,7 @@ CASES = {
                             None),
     "error-io-missing-file": ([["canonicalize", "missing.smi"]], None),
     "error-smiles-syntax": ([["canonicalize"]], "CCO\nCC(C\n"),
+    "error-smiles-syntax-unicode-digit": ([["canonicalize"]], "C1CC1\nC\u00b2\n"),
 }
 
 EMPTY = "e3b0c44298fc1c14"  # the digest of no output
@@ -126,6 +127,7 @@ PINS = {
     "plot-data-histogram": ((0,), "9514676bf8bdb6d6", EMPTY, {}),
     "error-io-missing-file": ((1,), EMPTY, "302e81a209904e5f", {}),
     "error-smiles-syntax": ((1,), "5c9aa2a3024d56c9", "a9570829638d89f7", {}),
+    "error-smiles-syntax-unicode-digit": ((1,), "f403d0803f77f69e", "75c856c16a06648a", {}),
 }
 
 

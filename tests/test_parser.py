@@ -346,6 +346,13 @@ MALFORMED = [
     ("C=.C", SmilesSyntaxError, "bond symbol before dot separator (at position 2)"),
     ("C==C", SmilesSyntaxError, "two consecutive bond symbols (at position 2)"),
     ("C%1C", SmilesSyntaxError, "'%' must be followed by two digits (at position 1)"),
+    # Ring-bond, '%' and bracket numbers are ASCII digits only.
+    ("C\u0661CC\u0661", SmilesSyntaxError, "unsupported token '\u0661' (at position 1)"),
+    ("C\u00b2", SmilesSyntaxError, "unsupported token '\u00b2' (at position 1)"),
+    ("C%1\u0662C", SmilesSyntaxError, "'%' must be followed by two digits (at position 1)"),
+    ("[\u0661\u0663C]", SmilesSyntaxError,
+     "malformed bracket atom '[\u0661\u0663C]' (at position 0)"),
+    ("[CH\u0662]", SmilesSyntaxError, "malformed bracket atom '[CH\u0662]' (at position 0)"),
     ("%10C", SmilesSyntaxError, "ring-closure digit before any atom (at position 2)"),
     ("C=1CCCC#1", SmilesSyntaxError, "conflicting bond symbols on ring closure 1 (at position 8)"),
     ("CC$C", SmilesSyntaxError, "unsupported token '$' (at position 2)"),
