@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .mol import Adjacency
+from .mol import Adjacency, Molecule, build_adjacency
 
 
 def ring_subgraph(adj: Adjacency, ring_flags: list[bool]) -> list[list[tuple[int, int]]]:
@@ -68,6 +68,28 @@ def sssr(ring_adj: list[list[tuple[int, int]]]) -> list[tuple[int, ...]]:
         basis.sort(reverse=True)
         chosen.append(_normalize_ring(cyc))
     return chosen
+
+
+def rings_of(mol: Molecule) -> tuple[tuple[int, ...], ...]:
+    """The molecule's SSSR as atom sets that do not depend on atom numbering.
+
+    Rings that share no bond are the only SSSR, so ``mol.rings`` serves.
+    Fused and bridged systems can have several SSSRs, and which one ``sssr``
+    keeps depends on atom numbering; these take the SSSR found in canonical
+    atom order, mapped back to the molecule's atoms. Kept on the molecule.
+    """
+
+    def compute():
+        ring_bonds = [b for b in mol.bonds if b.in_ring]
+        if sum(map(len, mol.rings)) == len(ring_bonds):
+            return mol.rings
+        order = mol.canonical_order
+        position = {atom: k for k, atom in enumerate(order)}
+        ends = sorted(sorted((position[b.a], position[b.b])) for b in ring_bonds)
+        rings = sssr(build_adjacency(len(order), ends))
+        return tuple(tuple(order[k] for k in ring) for ring in rings)
+
+    return mol.derived("rings", compute)
 
 
 def _normalize_ring(cyc: tuple[int, ...]) -> tuple[int, ...]:

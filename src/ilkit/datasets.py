@@ -323,10 +323,10 @@ def generate_synthetic_systems(
 
 
 def descriptor_values(smiles: str) -> tuple[float, ...]:
-    """Descriptors of a canonical SMILES, from the molecule table."""
+    """Descriptors of any SMILES text, from the molecule table."""
     return table.derived(
         smiles, "descriptors", lambda mol: tuple(compute_descriptors(mol).as_list())
-    )
+    )[1]
 
 
 def build_pseudo_labels(record: SystemRecord) -> list[float]:

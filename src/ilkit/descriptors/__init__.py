@@ -1,5 +1,9 @@
 """The 21 physicochemical descriptors used for pseudo-labels and baselines.
 
+Every float sum runs through ``math.fsum``, which rounds exactly once, and
+ring counts read ``rings_of``, so a molecule's descriptors have the same bits
+whatever its atom order.
+
 Field order (also the CSV column order) follows the canonical listing:
 hydrogen-bond donors and acceptors, rotatable bonds, polar surface area,
 stereocenters, Crippen logP and molar refractivity, sp3 carbon fraction,
@@ -10,10 +14,12 @@ Balaban J, and the Bertz complexity index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from ..chem.elements import atomic_weight
 from ..chem.mol import DOUBLE, Molecule, SINGLE
+from ..chem.rings import rings_of
 from .crippen import crippen_atom_types, crippen_logp_mr
 from .topology import balaban_j, bertz_ct, kappa_indices
 from .tpsa import tpsa
@@ -106,7 +112,7 @@ def count_spiro_atoms(mol: Molecule) -> int:
     """Atoms in >= 2 rings whose containing rings pairwise share only that atom."""
     count = 0
     for idx in range(len(mol.atoms)):
-        containing = [set(r) for r in mol.rings if idx in r]
+        containing = [set(r) for r in rings_of(mol) if idx in r]
         if len(containing) < 2:
             continue
         spiro = all(
@@ -129,27 +135,18 @@ def frac_csp3(mol: Molecule) -> float:
 def mol_weight(mol: Molecule) -> float:
     """Sum of standard atomic weights, hydrogens included; isotopes use
     their mass number."""
-    total = 0.0
     h_weight = atomic_weight("H")
-    for atom in mol.atoms:
-        total += atom.isotope if atom.isotope is not None else atomic_weight(atom.element)
-        total += atom.total_h * h_weight
-    return total
+    heavy = [a.isotope if a.isotope is not None else atomic_weight(a.element) for a in mol.atoms]
+    return math.fsum(heavy + [a.total_h * h_weight for a in mol.atoms])
 
 
 def compute_descriptors(mol: Molecule) -> DescriptorVector:
     """All 21 descriptors for one molecule; pure and deterministic."""
     logp, mr = crippen_logp_mr(mol)
     k1, k2, k3 = kappa_indices(mol)
-    rings = mol.rings
-    heterocycles = sum(1 for r in rings if any(mol.atoms[i].element != "C" for i in r))
-    aromatic_rings = sum(1 for r in rings if all(mol.atoms[i].aromatic for i in r))
-    aromatic_hetero = sum(
-        1
-        for r in rings
-        if all(mol.atoms[i].aromatic for i in r)
-        and any(mol.atoms[i].element != "C" for i in r)
-    )
+    rings = rings_of(mol)
+    hetero = [any(mol.atoms[i].element != "C" for i in r) for r in rings]
+    aromatic = [all(mol.atoms[i].aromatic for i in r) for r in rings]
     return DescriptorVector(
         hbd=count_hbd(mol),
         hba=count_hba(mol),
@@ -160,9 +157,9 @@ def compute_descriptors(mol: Molecule) -> DescriptorVector:
         molar_refractivity=mr,
         frac_csp3=frac_csp3(mol),
         ring_count=len(rings),
-        heterocycles=heterocycles,
-        aromatic_rings=aromatic_rings,
-        aromatic_heterocycles=aromatic_hetero,
+        heterocycles=sum(hetero),
+        aromatic_rings=sum(aromatic),
+        aromatic_heterocycles=sum(h and a for h, a in zip(hetero, aromatic)),
         spiro_atoms=count_spiro_atoms(mol),
         mol_weight=mol_weight(mol),
         heteroatoms=sum(1 for a in mol.atoms if a.element not in ("C", "H")),

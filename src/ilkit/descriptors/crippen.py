@@ -2,10 +2,12 @@
 
 Each heavy atom (and each of its hydrogens) is assigned one of the published
 atom types by structural rules evaluated in the publication's order, then
-logP and MR are plain sums of the tabulated contributions.
+logP and MR are exactly rounded sums of the tabulated contributions.
 """
 
 from __future__ import annotations
+
+import math
 
 from ..chem.mol import AROMATIC, DOUBLE, Molecule, SINGLE, TRIPLE
 from ..errors import DescriptorError
@@ -295,15 +297,10 @@ def crippen_atom_types(mol: Molecule) -> list[tuple[str, str | None]]:
 def crippen_logp_mr(mol: Molecule) -> tuple[float, float]:
     """(logP, molar refractivity) as sums of atomic contributions."""
     table = crippen_table()
-    logp = 0.0
-    mr = 0.0
+    terms = []
     for i, (t, h_type) in enumerate(crippen_atom_types(mol)):
-        c_logp, c_mr = table[t]
-        logp += c_logp
-        mr += c_mr
+        terms.append(table[t])
         if h_type is not None:
-            h_logp, h_mr = table[h_type]
             nh = mol.atoms[i].total_h
-            logp += nh * h_logp
-            mr += nh * h_mr
-    return logp, mr
+            terms.append([nh * c for c in table[h_type]])
+    return math.fsum(t[0] for t in terms), math.fsum(t[1] for t in terms)

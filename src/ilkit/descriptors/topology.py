@@ -93,13 +93,11 @@ def balaban_j(mol: Molecule) -> float:
     for a, b, _o in edges:
         comp_edges.setdefault(root[a], []).append((a, b))
 
-    total = 0.0
-    for r in sorted(comp_edges):
-        m = len(comp_edges[r])
-        mu = m - root.count(r) + 1
-        acc = sum(1.0 / math.sqrt(dist_sum[a] * dist_sum[b]) for a, b in comp_edges[r])
-        total += m / (mu + 1.0) * acc
-    return total
+    return math.fsum(
+        len(pairs) / (len(pairs) - root.count(r) + 2.0)
+        * math.fsum(1.0 / math.sqrt(dist_sum[a] * dist_sum[b]) for a, b in pairs)
+        for r, pairs in comp_edges.items()
+    )
 
 
 def bertz_ct(mol: Molecule) -> float:
@@ -129,7 +127,7 @@ def bertz_ct(mol: Molecule) -> float:
         total = sum(counts)
         if total == 0:
             return 0.0
-        return 2.0 * total * math.log2(total) - sum(c * math.log2(c) for c in counts)
+        return 2.0 * total * math.log2(total) - math.fsum(c * math.log2(c) for c in counts)
 
     connectivity = entropy_term(list(classes.values()))
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
+
 from ..chem.mol import AROMATIC, DOUBLE, Molecule, SINGLE, TRIPLE
+from ..chem.rings import rings_of
 from .tables import tpsa_table
 
 
@@ -23,7 +26,7 @@ def _fragment_label(mol: Molecule, idx: int) -> str | None:
             a += 1
     h = atom.total_h
     q = atom.formal_charge
-    in3 = any(len(r) == 3 and idx in r for r in mol.rings)
+    in3 = any(len(r) == 3 and idx in r for r in rings_of(mol))
 
     sym = atom.element.lower() if atom.aromatic else atom.element
     if q > 0:
@@ -56,13 +59,9 @@ def _fallback(mol: Molecule, idx: int) -> float:
 def tpsa(mol: Molecule) -> float:
     """Polar surface area in A^2 (nitrogen and oxygen contributions only)."""
     table = tpsa_table()
-    total = 0.0
-    for idx, atom in enumerate(mol.atoms):
-        if atom.element not in ("N", "O"):
-            continue
-        label = _fragment_label(mol, idx)
-        if label in table:
-            total += table[label]
-        else:
-            total += _fallback(mol, idx)
-    return total
+    labels = ((idx, _fragment_label(mol, idx)) for idx in range(len(mol.atoms)))
+    return math.fsum(
+        table[label] if label in table else _fallback(mol, idx)
+        for idx, label in labels
+        if label is not None
+    )

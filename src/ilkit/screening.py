@@ -140,13 +140,13 @@ class FingerprintCache:
         )
 
     def get(self, smiles: str):
-        """Fingerprint of a canonical SMILES."""
-        return table.derived(smiles, self._key, self._make)
+        """Fingerprint of any SMILES text."""
+        return table.derived(smiles, self._key, self._make)[1]
 
     def sighted(self, text: str) -> tuple:
         """(canonical SMILES, fingerprint) of any SMILES text; a text seen for
         the first time is parsed once for both."""
-        return table.sighted(text, self._key, self._make)
+        return table.derived(text, self._key, self._make)
 
     def _make(self, mol):
         return make_fingerprint(mol, self.kind, self.radius, self.nbits)

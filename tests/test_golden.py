@@ -97,26 +97,26 @@ PINS = {
     "similarity-atom-pair": ((0,), "353c0e9bf5e3f4d6", EMPTY, {}),
     "featurize": ((0,), EMPTY, EMPTY, {"graphs.jsonl": "f321c4d5aa2348b8"}),
     "split": ((0,), "9925af73207cc8e4", EMPTY, {}),
-    "train-ridge": ((0,), EMPTY, EMPTY, {"ridge.json": "324279c7fdc8a29d"}),
+    "train-ridge": ((0,), EMPTY, EMPTY, {"ridge.json": "79460007c3d7ca9b"}),
     "train-mlp": ((0,), EMPTY, EMPTY, {
-        "mlp.json": "9a6db4ce03d4220d",
+        "mlp.json": "8f2b2694d064c6e3",
         "trace.csv": "d8dd28a0779acccb",
     }),
-    "evaluate-ridge": ((0,), "1fa5c767b4aa0dc3", EMPTY, {"row.csv": "685becf77b5db9bc"}),
-    "evaluate-mlp": ((0,), EMPTY, EMPTY, {"report.json": "0d775f017fc7c3e0"}),
+    "evaluate-ridge": ((0,), "304692f07f951af2", EMPTY, {"row.csv": "43a3abfe616dcf56"}),
+    "evaluate-mlp": ((0,), EMPTY, EMPTY, {"report.json": "b22b2b167a5ddb2d"}),
     "search-lookup": ((0,), "38f8bf042c7cfbfb", "965f1be2198f06dc", {}),
     "search-model": ((0, 0), EMPTY, EMPTY, {
-        "found.jsonl": "b1ede8bc6510faf4",
-        "ridge.json": "324279c7fdc8a29d",
+        "found.jsonl": "8e947c6653d0a5ac",
+        "ridge.json": "79460007c3d7ca9b",
         "trajectory.txt": "391eb46249f100b2",
     }),
     "modify-anion-lookup": ((0,), "cd42f84f7e8261f5", "afca43c91f2db01a", {}),
-    "modify-anion-model": ((0, 0), "f4f3fec289cc999f", "254858b0ab000b57", {
-        "ridge.json": "324279c7fdc8a29d",
+    "modify-anion-model": ((0, 0), "36e2d62049c63e3f", "254858b0ab000b57", {
+        "ridge.json": "79460007c3d7ca9b",
     }),
     "modify-cation-lookup": ((0,), EMPTY, "62c723f64e2b1cda", {"cands.jsonl": "2658e6a0534b4e42"}),
-    "modify-cation-model": ((0, 0), "e1b912c69fdc2d94", "f88667954bd0e8ef", {
-        "ridge.json": "324279c7fdc8a29d",
+    "modify-cation-model": ((0, 0), "1afab06ccfd86961", "f88667954bd0e8ef", {
+        "ridge.json": "79460007c3d7ca9b",
     }),
     "thermo": ((0, 0), "a78669c45648b50b", EMPTY, {}),
     "gen-synthetic-jsonl-round-trip": ((0, 0), "fc0c1957ab88fd8c", EMPTY, {

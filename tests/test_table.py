@@ -51,17 +51,54 @@ def test_bad_smiles_raises_the_same_error_every_time():
 
 
 def test_derived_values_are_bit_identical_to_direct_computation():
+    """Whichever spelling fills an entry, every spelling and the canonical
+    SMILES read values bit-identical to those of the raw text's own parse."""
     cache = FingerprintCache("ecfp", 2, 2048)
     pairs = FingerprintCache("atom_pair", 2, 0)
     for warm in (False, True):
         if not warm:
             table._entries.clear()
         for text in _respellings(seed=43, size=25):
-            c = canonicalize(text)
-            mol = parse_smiles(c)
-            assert _bits(descriptor_values(c)) == _bits(compute_descriptors(mol).as_list())
-            assert cache.get(c) == make_fingerprint(mol, "ecfp", 2, 2048)
-            assert pairs.get(c) == make_fingerprint(mol, "atom_pair", 2, 0)
+            mol = parse_smiles(text)
+            for spelling in (text, canonicalize(text)):
+                assert _bits(descriptor_values(spelling)) == _bits(compute_descriptors(mol).as_list())
+                assert cache.get(spelling) == make_fingerprint(mol, "ecfp", 2, 2048)
+                assert pairs.get(spelling) == make_fingerprint(mol, "atom_pair", 2, 0)
+
+
+MESYLATE = "[O-]S(C)(=O)=O"  # canonical: CS([O-])(=O)=O
+
+
+def test_a_respelled_ion_reads_the_canonical_entry():
+    table._entries.clear()
+    canonical = canonicalize(MESYLATE)
+    assert canonical != MESYLATE
+    want = _bits(compute_descriptors(parse_smiles(canonical)).as_list())
+    assert _bits(descriptor_values(MESYLATE)) == want
+    assert (MESYLATE, "descriptors") not in table._entries
+    assert _bits(table._entries[(canonical, "descriptors")]) == want
+
+
+def test_prediction_on_a_respelled_ion_equals_the_canonical_record():
+    from ilkit.predictor import featurize_records, predict, train_ridge
+
+    anions = ["CC(=O)[O-]", "[S-]C#N", "N#C[N-]C#N", "CS([O-])(=O)=O", "FC(F)(F)S(=O)(=O)[O-]"]
+    records = [
+        SystemRecord("il_solute", cation="CCn1cc[n+](C)c1", anion=a, solute="O=C=O",
+                     temperature=298.15 + i, property="solvation_dg", value=-0.1 * i)
+        for i, a in enumerate(anions)
+    ]
+    X = featurize_records(records)
+    model = train_ridge(X, [r.value for r in records], 1.0, "solvation_dg")
+    canonical, respelled = (
+        SystemRecord("il_solute", cation="CCn1cc[n+](C)c1", anion=anion, solute="O=C=O",
+                     temperature=300.0)
+        for anion in (canonicalize(MESYLATE), MESYLATE)
+    )
+    for warm in (False, True):
+        if not warm:
+            table._entries.clear()
+        assert predict(model, respelled) == predict(model, canonical)
 
 
 def _pool_search():
