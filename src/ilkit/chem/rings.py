@@ -109,21 +109,16 @@ def small_cycles(ring_adj: list[list[tuple[int, int]]], max_size: int = 7) -> li
     cycles instead of the ring basis. The walk follows ring bonds only.
     """
     cycles: set[tuple[int, ...]] = set()
-
-    def walk(start: int, current: int, path: list[int], visited: set[int]) -> None:
-        for nxt, _bi in ring_adj[current]:
-            if nxt == start and len(path) >= 3:
-                cycles.add(_normalize_ring(tuple(path)))
-            elif nxt > start and nxt not in visited and len(path) < max_size:
-                path.append(nxt)
-                visited.add(nxt)
-                walk(start, nxt, path, visited)
-                path.pop()
-                visited.remove(nxt)
-
     for start in range(len(ring_adj)):
-        if ring_adj[start]:
-            walk(start, start, [start], {start})
+        paths = [(start,)]  # simple paths from start through higher atoms only
+        while paths:
+            path = paths.pop()
+            for nxt, _bi in ring_adj[path[-1]]:
+                if nxt > start:
+                    if nxt not in path and len(path) < max_size:
+                        paths.append(path + (nxt,))
+                elif nxt == start and len(path) >= 3:
+                    cycles.add(_normalize_ring(path))
     return sorted(cycles, key=lambda c: (len(c), c))
 
 
