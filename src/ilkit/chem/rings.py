@@ -73,10 +73,10 @@ def sssr(ring_adj: list[list[tuple[int, int]]]) -> list[tuple[int, ...]]:
 def rings_of(mol: Molecule) -> tuple[tuple[int, ...], ...]:
     """The molecule's SSSR as atom sets that do not depend on atom numbering.
 
-    Rings that share no bond are the only SSSR, so ``mol.rings`` serves.
-    Fused and bridged systems can have several SSSRs, and which one ``sssr``
-    keeps depends on atom numbering; these take the SSSR found in canonical
-    atom order, mapped back to the molecule's atoms. Kept on the molecule.
+    When no two of ``mol.rings`` share a bond, they serve as they are. Fused
+    and bridged systems can have several SSSRs, and which one ``sssr`` keeps
+    depends on atom numbering; these take the SSSR found in canonical atom
+    order, mapped back to the molecule's atoms. Kept on the molecule.
     """
 
     def compute():
