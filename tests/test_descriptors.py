@@ -160,10 +160,10 @@ def test_ring_counts_do_not_depend_on_which_sssr_a_spelling_finds(smiles):
         perm = list(range(len(mol.atoms)))
         rng.shuffle(perm)
         spellings.append(parse_smiles(write_smiles(mol, order=perm)))
-    hetero_sets = {
+    own_counts = {
         sum(any(m.atoms[i].element != "C" for i in r) for r in m.rings) for m in spellings
     }
-    assert len(hetero_sets) > 1  # the spellings' own SSSRs disagree
+    assert len(own_counts) > 1  # the spellings' own SSSRs disagree
     assert {compute_descriptors(m).heterocycles for m in spellings} == {
         compute_descriptors(mol).heterocycles
     }
