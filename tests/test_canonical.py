@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -271,6 +272,26 @@ def test_pinned_symmetric_canonical_strings(source):
     rng = random.Random(source)
     for _ in range(5):
         assert _shuffled(mol, rng).canonical_smiles == canonical
+
+
+def _gem_dimethyl_chain(k):
+    """C + C(C)(C) * k + C: every gem-dimethyl pair is a tie, so the tie
+    tree is about k deep."""
+    return parse_smiles("C" + "C(C)(C)" * k + "C")
+
+
+# sha256 (first 16 hex digits) of the repr of canonical_form, string and
+# order, for each chain as written and in three seeded atom orders. These
+# tie trees are too large for the exhaustive oracle.
+_CHAIN_FORMS_SHA256 = {20: "4d095b511713a3fd", 40: "ac31681b5ce81f25"}
+
+
+@pytest.mark.parametrize("k", sorted(_CHAIN_FORMS_SHA256))
+def test_pinned_gem_dimethyl_chain_forms(k):
+    mol = _gem_dimethyl_chain(k)
+    forms = [canonical_form(m) for m in [mol, *(_shuffled(mol, random.Random(s)) for s in range(3))]]
+    assert len({s for s, _ in forms}) == 1
+    assert hashlib.sha256(repr(forms).encode()).hexdigest()[:16] == _CHAIN_FORMS_SHA256[k]
 
 
 @pytest.mark.parametrize("name", sorted(HYPERVALENT_ANIONS))
