@@ -135,100 +135,91 @@ def _refine(ranks: list[int], nbrs: list[list[tuple[int, int]]]) -> list[int]:
     return _dense_ranks(rank) if rnd else ranks
 
 
+def _find(uf: list[int], i: int) -> int:
+    while uf[i] != i:
+        uf[i] = uf[uf[i]]
+        i = uf[i]
+    return i
+
+
 def _least_leaf(
     mol: Molecule, base: list[int], nbrs: list[list[tuple[int, int]]]
 ) -> tuple[str, tuple[int, ...]]:
     """First leaf of the tie tree, in depth-first order, that emits the least string.
 
-    Walks the tree depth-first, individualizing each member of the lowest
-    tied cell in turn and refining. Two leaves that emit the same string
-    give an automorphism (the map between their emission orders). An
-    automorphism that fixes a node's path maps each child's subtree onto
-    another child's with the same leaf strings, so a child in the orbit of
-    an explored sibling is skipped, and a subtree found to be the image of
-    an explored sibling's is left at once. The first leaf reaching the least
-    string is never skipped, so the result is the one exhaustive exploration
-    would give.
+    Walks the tree depth-first with an explicit stack, individualizing each
+    member of the lowest tied cell in turn and refining. Two leaves that emit
+    the same string give an automorphism (the map between their emission
+    orders). An automorphism that fixes a node's path maps each child's
+    subtree onto another child's with the same leaf strings, so a child in
+    the orbit of an explored sibling is skipped, and a subtree found to be
+    the image of an explored sibling's is left at once. The first leaf
+    reaching the least string is never skipped, so the result is the one
+    exhaustive exploration would give.
     """
     tokens = _atom_tokens(mol)
     n = len(base)
     refs: list[tuple[str, tuple[int, ...]]] = []  # [first leaf, best leaf]
     autos: list[list[int]] = []
-    path: list[int] = []  # atom individualized at each depth
-    explored: list[list[int]] = []  # children taken so far at each depth of the path
+    # One frame per tied node on the path: [ranks, lowest tied cell, members
+    # taken so far (the last is on the path), union-find over atoms (orbits
+    # of the path's stabilizer), automorphisms already folded into it].
+    frames: list[list] = []
     budget = _MAX_RANKINGS
-
-    def leaf(ranks: list[int]) -> int:
-        """Record a leaf; return the depth of the first redundant node on its path."""
-        s, order = _emit(mol, ranks, base, tokens)
-        if not refs:
-            refs.extend([(s, order), (s, order)])
-            return len(path)
-        for ref_s, ref_order in refs:
-            if s == ref_s:
-                g = [0] * n
-                for a, b in zip(ref_order, order):
-                    g[a] = b
-                autos.append(g)
-                for depth, chosen in enumerate(path):
-                    if any(g[e] == chosen for e in explored[depth][:-1]):
-                        return depth
-                    if g[chosen] != chosen:
-                        break
-                return len(path)
-        if s < refs[1][0]:
-            refs[1] = (s, order)
-        return len(path)
-
-    def visit(ranks: list[int]) -> int:
-        """Explore one node; return the depth to resume at (< own depth: back up)."""
-        nonlocal budget
+    ranks: list[int] | None = base
+    while True:
         cells: dict[int, list[int]] = {}
         for i, r in enumerate(ranks):
             cells.setdefault(r, []).append(i)
         tied = [r for r, members in cells.items() if len(members) > 1]
-        if not tied:
-            return leaf(ranks)
-        depth = len(path)
-        cell = cells[min(tied)]
-        taken: list[int] = []
-        explored.append(taken)
-        uf: list[int] = []  # union-find over atoms: orbits of the path's stabilizer
-        seen = 0  # automorphisms already folded into uf
-        resume = depth
-
-        def find(i: int) -> int:
-            while uf[i] != i:
-                uf[i] = uf[uf[i]]
-                i = uf[i]
-            return i
-
-        for chosen in cell:
-            if taken and len(autos) > seen:
-                if not uf:
-                    uf.extend(range(n))
-                for g in autos[seen:]:
-                    if all(g[a] == a for a in path):
-                        for i in cell:
-                            uf[find(i)] = find(g[i])
-                seen = len(autos)
-            if uf and any(find(e) == find(chosen) for e in taken):
-                continue
-            budget -= 1
-            if budget < 0:
-                raise IlkitError("molecule too symmetric for canonical tie-breaking")
-            taken.append(chosen)
-            path.append(chosen)
-            keys = [(ranks[i], 0 if i == chosen else 1) for i in range(n)]
-            resume = visit(_refine(_dense_ranks(keys), nbrs))
-            path.pop()
-            if resume < depth:
+        if tied:
+            frames.append([ranks, cells[min(tied)], [], [], 0])
+        else:
+            s, order = _emit(mol, ranks, base, tokens)
+            if not refs:
+                refs = [(s, order), (s, order)]
+            elif s == refs[0][0] or s == refs[1][0]:
+                g = [0] * n
+                for a, b in zip(refs[0][1] if s == refs[0][0] else refs[1][1], order):
+                    g[a] = b
+                autos.append(g)
+                # Leave the subtree of the first path node whose choice g
+                # maps an explored sibling onto.
+                for depth, frame in enumerate(frames):
+                    taken = frame[2]
+                    if any(g[e] == taken[-1] for e in taken[:-1]):
+                        del frames[depth + 1:]
+                        break
+                    if g[taken[-1]] != taken[-1]:
+                        break
+            elif s < refs[1][0]:
+                refs[1] = (s, order)
+        ranks = None
+        while ranks is None:  # the next child, depth-first
+            if not frames:
+                return refs[1]
+            node, cell, taken, uf, seen = frame = frames[-1]
+            for chosen in cell[cell.index(taken[-1]) + 1:] if taken else cell:
+                if taken and len(autos) > seen:
+                    if not uf:
+                        uf.extend(range(n))
+                    path = [f[2][-1] for f in frames[:-1]]
+                    for g in autos[seen:]:
+                        if all(g[a] == a for a in path):
+                            for i in cell:
+                                uf[_find(uf, i)] = _find(uf, g[i])
+                    seen = frame[4] = len(autos)
+                if uf and any(_find(uf, e) == _find(uf, chosen) for e in taken):
+                    continue
+                budget -= 1
+                if budget < 0:
+                    raise IlkitError("molecule too symmetric for canonical tie-breaking")
+                taken.append(chosen)
+                keys = [(node[i], 0 if i == chosen else 1) for i in range(n)]
+                ranks = _refine(_dense_ranks(keys), nbrs)
                 break
-        explored.pop()
-        return min(resume, depth)
-
-    visit(base)
-    return refs[1]
+            else:
+                frames.pop()
 
 
 def canonical_form(mol: Molecule) -> tuple[str, tuple[int, ...]]:

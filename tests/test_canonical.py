@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -292,6 +294,40 @@ def test_pinned_gem_dimethyl_chain_forms(k):
     forms = [canonical_form(m) for m in [mol, *(_shuffled(mol, random.Random(s)) for s in range(3))]]
     assert len({s for s, _ in forms}) == 1
     assert hashlib.sha256(repr(forms).encode()).hexdigest()[:16] == _CHAIN_FORMS_SHA256[k]
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_tie_search_depth_does_not_grow_with_the_tie_tree():
+    # The k = 40 tree is about 40 nodes deep; 30 frames are enough for the
+    # search only when it does not recurse per tree level.
+    mol = _gem_dimethyl_chain(40)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 30)
+    try:
+        form = canonical_form(mol)
+    finally:
+        sys.setrecursionlimit(old)
+    assert form == canonical_form(_gem_dimethyl_chain(40))
+
+
+def test_tie_search_leaves_no_cyclic_garbage():
+    texts = ["CC(C)(C)C", "c1ccccc1", SYMMETRIC_PANEL["NTf2"], "CCCC[N+](CCCC)(CCCC)CCCC"]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for text in texts:
+            canonical_form(parse_smiles(text))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("name", sorted(HYPERVALENT_ANIONS))
