@@ -49,8 +49,8 @@ class Standardizer:
     @staticmethod
     def fit(X: np.ndarray) -> "Standardizer":
         mean = X.mean(axis=0)
-        scale = X.std(axis=0)
-        scale = np.where(scale > 0, scale, 1.0)  # constant columns pass through
+        # Constant columns pass through; their std can be the mean's rounding residue.
+        scale = np.where(np.ptp(X, axis=0) > 0, X.std(axis=0), 1.0)
         return Standardizer(mean, scale)
 
     def transform(self, X: np.ndarray) -> np.ndarray:

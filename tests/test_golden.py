@@ -102,8 +102,8 @@ PINS = {
         "mlp.json": "8f2b2694d064c6e3",
         "trace.csv": "d8dd28a0779acccb",
     }),
-    "evaluate-ridge": ((0,), "304692f07f951af2", EMPTY, {"row.csv": "43a3abfe616dcf56"}),
-    "evaluate-mlp": ((0,), EMPTY, EMPTY, {"report.json": "b22b2b167a5ddb2d"}),
+    "evaluate-ridge": ((0,), "bdf155552e07236d", EMPTY, {"row.csv": "81517100957868e3"}),
+    "evaluate-mlp": ((0,), EMPTY, EMPTY, {"report.json": "ecd1f2dd8a9ca3f3"}),
     "search-lookup": ((0,), "38f8bf042c7cfbfb", "965f1be2198f06dc", {}),
     "search-model": ((0, 0), EMPTY, EMPTY, {
         "found.jsonl": "8e947c6653d0a5ac",

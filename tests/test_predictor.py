@@ -124,6 +124,15 @@ def test_standardizer_roundtrip():
     assert np.max(np.abs(std.inverse(std.transform(X)) - X)) < 1e-12
 
 
+def test_standardizer_passes_constant_columns_through():
+    # The std of 61 copies of 8.81 is 1.8e-15, the rounding residue of the mean.
+    X = np.column_stack([np.full(61, 8.81), np.arange(61.0)])
+    assert X.std(axis=0)[0] > 0
+    std = Standardizer.fit(X)
+    assert std.scale[0] == 1.0
+    assert abs(std.transform(np.array([[9.0, 0.0]]))[0, 0] - 0.19) < 1e-12
+
+
 def test_mlp_zero_epochs_returns_initialization():
     X, y = _planted_linear()
     cfg = MLPConfig(hidden=(8,), epochs=0, batch_size=16, seed=5)
