@@ -94,9 +94,9 @@ def _read_config_file(path: str) -> dict:
                     values[key] = float(raw)
                 except ValueError:
                     values[key] = raw
-    if values.get("schema_version") != 1:
+    version = values.pop("schema_version", None)
+    if type(version) is not int or version != 1:  # True == 1.0 == 1
         raise ConfigError(f"{path}: missing or unsupported schema_version (need 1)")
-    values.pop("schema_version")
     return values
 
 

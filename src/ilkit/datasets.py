@@ -231,7 +231,7 @@ def load_records(path: str | Path) -> list[SystemRecord]:
                 if not isinstance(obj, dict):
                     raise SchemaError(f"{path}:{lineno}: expected a JSON object")
                 version = obj.get("schema_version", SCHEMA_VERSION)
-                if version != SCHEMA_VERSION:
+                if type(version) is not int or version != SCHEMA_VERSION:  # True == 1.0 == 1
                     raise SchemaError(f"{path}:{lineno}: schema_version {version} unsupported")
                 for key in _JSONL_TEXT_FIELDS:
                     x = obj.get(key)

@@ -274,8 +274,9 @@ def save_model(model, path) -> None:
 def load_model(path):
     with open(path) as fh:
         obj = json.load(fh)
-    if obj.get("schema_version") != MODEL_SCHEMA_VERSION:
-        raise ConfigError(f"unsupported model schema_version {obj.get('schema_version')}")
+    version = obj.get("schema_version")
+    if type(version) is not int or version != MODEL_SCHEMA_VERSION:  # True == 1.0 == 1
+        raise ConfigError(f"unsupported model schema_version {version}")
     std = Standardizer(np.asarray(obj["mean"]), np.asarray(obj["scale"]))
     if obj["kind"] == "ridge":
         return RidgeModel(

@@ -550,6 +550,19 @@ def test_config_file_requires_schema_version(tmp_path):
     assert "schema_version" in err
 
 
+@pytest.mark.parametrize("version", ["true", "1.0"])
+def test_config_file_schema_version_must_be_the_int_1(tmp_path, version):
+    records = _records_csv(tmp_path, _bulk_rows(20))
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"schema_version = {version}\nbeam_width = 4\n")
+    code, _out, err = run_cli(
+        ["train", records, "--property", "mass_density", "--config", str(config),
+         "-o", str(tmp_path / "m.json")]
+    )
+    assert code == 1
+    assert "unsupported schema_version" in err
+
+
 def test_config_file_model_applies_unless_the_flag_overrides_it(tmp_path):
     records = _records_csv(tmp_path, _bulk_rows(20))
     config = tmp_path / "mlp.cfg"

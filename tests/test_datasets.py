@@ -187,6 +187,13 @@ def test_jsonl_unit_mismatch(tmp_path):
         load_records(path)
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_jsonl_schema_version_must_be_the_int_1(tmp_path, version):
+    path = _write(tmp_path, "bad.jsonl", [_jsonl_record(), _jsonl_record(schema_version=version)])
+    with pytest.raises(SchemaError, match=r"bad\.jsonl:2: schema_version .* unsupported"):
+        load_records(path)
+
+
 def test_jsonl_malformed_line_rejected(tmp_path):
     path = _write(tmp_path, "bad.jsonl", [_jsonl_record(), '{"cation": '])
     with pytest.raises(SchemaError, match=r"bad\.jsonl:2: invalid JSON"):

@@ -7,6 +7,7 @@ import pytest
 
 from ilkit.datasets import SystemRecord, validate_record
 from ilkit.errors import (
+    ConfigError,
     ExternalPredictorError,
     PredictionError,
     TrainingError,
@@ -264,6 +265,18 @@ def test_model_json_roundtrip(tmp_path):
     save_model(mlp, tmp_path / "mlp.json")
     again = load_model(tmp_path / "mlp.json")
     assert np.allclose(again.predict_features(X), mlp.predict_features(X))
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_model_json_schema_version_must_be_the_int_1(tmp_path, version):
+    std = Standardizer(np.zeros(89), np.ones(89))
+    path = tmp_path / "model.json"
+    save_model(RidgeModel("solvation_dg", std, np.zeros(89), 2.5, 1.0), path)
+    obj = json.loads(path.read_text())
+    obj["schema_version"] = version
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ConfigError, match="unsupported model schema_version"):
+        load_model(path)
 
 
 _ECHO_ZERO = (
