@@ -14,7 +14,6 @@ import csv
 import json
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -65,9 +64,11 @@ MODEL_HELP = "model kind (default: the config file's model, else ridge)"
 SEED_HELP = f"MLP seed (default: the config file's seed, else {DEFAULT_SEED})"
 
 
-def _read_config_file(path: str) -> dict:
-    """Flat TOML-style key = value file with a mandatory schema_version."""
+def _read_config_file(path: str | None) -> dict:
+    """Flat TOML-style key = value file with a mandatory schema_version ({} for no path)."""
     values: dict[str, object] = {}
+    if path is None:
+        return values
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -145,55 +146,43 @@ def _predictor(args):
         raise ConfigError("need one of --model, --lookup, or --external")
 
 
-def _search_config(args) -> SearchConfig:
-    values: dict[str, object] = {}
-    if getattr(args, "config", None):
-        values.update(_read_config_file(args.config))
-    for key in (
-        "objective", "property", "beam_width", "iterations", "top_k",
-        "similarity_floor", "fingerprint", "radius", "nbits",
-    ):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    known = {k: v for k, v in values.items() if k in SearchConfig.__dataclass_fields__}
-    cfg = SearchConfig(**known)
+def _typed(key: str, value, want: type):
+    """``value`` as a ``want``: a float may be an int, an int is no bool, and
+    one int is a 1-tuple; any other mismatch is a ConfigError naming ``key``."""
+    if want is tuple and type(value) is int:
+        value = (value,)
+    if want is float and type(value) is int:
+        value = float(value)
+    if type(value) is not want:
+        kind = {int: "an int", float: "a number", str: "a string", tuple: "int(s)"}[want]
+        raise ConfigError(f"config key {key}: {value!r} is not {kind}")
+    return value
+
+
+def _config(cls, args, values: dict, **defaults):
+    """A validated ``cls``: its defaults, then ``defaults``, then the config
+    file's ``values``, then the flags of the same names that are not None,
+    each of its field default's type."""
+    for key, field in cls.__dataclass_fields__.items():
+        value = getattr(args, key, None)
+        if value is None:
+            value = values.get(key)
+        if value is not None:
+            defaults[key] = _typed(key, value, type(field.default))
+    cfg = cls(**defaults)
     cfg.validate()
     return cfg
 
 
-def _mlp_config(values: dict, seed: int | None) -> MLPConfig:
-    """``MLPConfig`` defaults with ``DEFAULT_SEED``, overridden by the config
-    file's keys, each of its default's type (a float may be an int, an int no
-    bool), and then by a ``seed`` flag that is not None."""
-    cfg = MLPConfig(seed=DEFAULT_SEED)
-    given = {k: v for k, v in values.items() if k in MLPConfig.__dataclass_fields__}
-    if seed is not None:
-        given["seed"] = seed
-    if type(given.get("hidden")) is int:
-        given["hidden"] = (given["hidden"],)
-    for key, value in given.items():
-        want = type(getattr(cfg, key))
-        if type(value) is not want and (want, type(value)) != (float, int):
-            kind = {int: "an int", float: "a number", str: "a string", tuple: "int(s)"}[want]
-            raise ConfigError(f"config key {key}: {value!r} is not {kind}")
-    return replace(cfg, **given)
-
-
 def _make_trainer(args, property_name: str):
-    values: dict[str, object] = {}
-    if getattr(args, "config", None):
-        values.update(_read_config_file(args.config))
-    kind = getattr(args, "model_kind", None) or values.get("model", "ridge")
+    values = _read_config_file(args.config)
+    kind = args.model_kind or values.get("model", "ridge")
     if kind == "ridge":
-        lam = getattr(args, "ridge_lambda", None)
-        if lam is None:
-            lam = values.get("lambda", 1.0)
-            if type(lam) not in (int, float):
-                raise ConfigError(f"config key lambda: {lam!r} is not a number")
-        return kind, lambda X, y: train_ridge(X, y, float(lam), property_name)
+        lam = args.ridge_lambda
+        lam = _typed("lambda", values.get("lambda", 1.0) if lam is None else lam, float)
+        return kind, lambda X, y: train_ridge(X, y, lam, property_name)
     if kind == "mlp":
-        cfg = _mlp_config(values, getattr(args, "seed", None))
+        cfg = _config(MLPConfig, args, values, seed=DEFAULT_SEED)
         return kind, lambda X, y: train_mlp(X, y, cfg, property_name)
     raise ConfigError(f"unknown model kind {kind!r}")
 
@@ -320,8 +309,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_search(args) -> int:
     records = load_records(args.records)
+    config = _config(SearchConfig, args, _read_config_file(args.config))
     with _predictor(args) as predictor:
-        config = _search_config(args)
         seeds_result = top_k_seeds(records, predictor, config)
         pools = {
             role: _load_pool(getattr(args, f"{role}_pool"))
@@ -340,8 +329,8 @@ def _cmd_modify(args, mutate_anion: bool) -> int:
         modify, fixed, seed = modify_anion, args.cation, args.seed_anion
     else:
         modify, fixed, seed = modify_side_chain, args.anion, args.seed_cation
+    config = _config(SearchConfig, args, _read_config_file(args.config))
     with _predictor(args) as predictor:
-        config = _search_config(args)
         result = modify(
             fixed, seed, _load_pool(args.pool), predictor,
             solute=args.solute, budget=args.budget, config=config,
