@@ -127,6 +127,19 @@ def _load_pool(path: str) -> list[str]:
     return list(_smiles_lines(path))
 
 
+def _read_lookup(path: str) -> dict:
+    """Role tuple -> value from a lookup-table JSON; a malformed table is a
+    ConfigError naming ``path``."""
+    try:
+        with open(path) as fh:
+            entries = json.load(fh)["entries"]
+        return {tuple(e.get(role) for role in ROLE_ORDER): float(e["value"]) for e in entries}
+    except KeyError as exc:
+        raise ConfigError(f"{path}: lookup table has no {exc}") from None
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{path}: malformed lookup table: {exc}") from None
+
+
 @contextmanager
 def _predictor(args):
     """The predictor chosen by --model, --lookup or --external, live for the block."""
@@ -134,11 +147,7 @@ def _predictor(args):
         model = load_model(args.model)
         yield lambda record: predict(model, record)
     elif args.lookup:
-        with open(args.lookup) as fh:
-            entries = json.load(fh)["entries"]
-        yield LookupPredictor(
-            {tuple(e.get(role) for role in ROLE_ORDER): float(e["value"]) for e in entries}
-        )
+        yield LookupPredictor(_read_lookup(args.lookup))
     elif args.external:
         with ExternalPredictor(args.external) as predictor:
             yield predictor

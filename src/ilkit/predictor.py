@@ -81,12 +81,7 @@ class RidgeModel:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": MODEL_SCHEMA_VERSION,
-            "kind": "ridge",
-            "property": self.property,
-            "layout": self.layout,
-            "mean": self.standardizer.mean.tolist(),
-            "scale": self.standardizer.scale.tolist(),
+            **_model_header("ridge", self),
             "weights": self.weights.tolist(),
             "bias": self.bias,
             "lambda": self.lam,
@@ -190,12 +185,7 @@ class MLPModel:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": MODEL_SCHEMA_VERSION,
-            "kind": "mlp",
-            "property": self.property,
-            "layout": self.layout,
-            "mean": self.standardizer.mean.tolist(),
-            "scale": self.standardizer.scale.tolist(),
+            **_model_header("mlp", self),
             "layer_sizes": list(self.layer_sizes),
             "activation": self.activation,
             "weights": [w.tolist() for w in self.weights],
@@ -271,26 +261,63 @@ def save_model(model, path) -> None:
         json.dump(model.to_json_dict(), fh)
 
 
+def _model_header(kind: str, model) -> dict:
+    """The JSON fields both model kinds share, in file order."""
+    return {
+        "schema_version": MODEL_SCHEMA_VERSION,
+        "kind": kind,
+        "property": model.property,
+        "layout": model.layout,
+        "mean": model.standardizer.mean.tolist(),
+        "scale": model.standardizer.scale.tolist(),
+    }
+
+
+def _array(value, name: str, shape: tuple) -> np.ndarray:
+    array = np.asarray(value, dtype=float)
+    if array.shape != shape:
+        raise ValueError(f"model {name} has shape {array.shape}, not {shape}")
+    return array
+
+
 def load_model(path):
-    with open(path) as fh:
-        obj = json.load(fh)
-    version = obj.get("schema_version")
-    if type(version) is not int or version != MODEL_SCHEMA_VERSION:  # True == 1.0 == 1
-        raise ConfigError(f"unsupported model schema_version {version}")
-    std = Standardizer(np.asarray(obj["mean"]), np.asarray(obj["scale"]))
-    if obj["kind"] == "ridge":
-        return RidgeModel(
-            obj["property"], std, np.asarray(obj["weights"]), obj["bias"], obj["lambda"],
-            layout=obj["layout"],
-        )
-    if obj["kind"] == "mlp":
-        return MLPModel(
-            obj["property"], std, tuple(obj["layer_sizes"]), obj["activation"],
-            [np.asarray(w) for w in obj["weights"]],
-            [np.asarray(b) for b in obj["biases"]],
-            layout=obj["layout"],
-        )
-    raise ConfigError(f"unknown model kind {obj['kind']!r}")
+    """The model saved at ``path``; a file that is not one whole model is a
+    ConfigError naming ``path``."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValueError("not a JSON object")
+        version = obj.get("schema_version")
+        if type(version) is not int or version != MODEL_SCHEMA_VERSION:  # True == 1.0 == 1
+            raise ValueError(f"unsupported model schema_version {version}")
+        n = len(obj["mean"])
+        std = Standardizer(_array(obj["mean"], "mean", (n,)), _array(obj["scale"], "scale", (n,)))
+        if obj["kind"] == "ridge":
+            return RidgeModel(
+                obj["property"], std, _array(obj["weights"], "weights", (n,)),
+                float(_array(obj["bias"], "bias", ())), float(_array(obj["lambda"], "lambda", ())),
+                layout=obj["layout"],
+            )
+        if obj["kind"] == "mlp":
+            sizes = tuple(obj["layer_sizes"])
+            shapes = list(zip(sizes[:-1], sizes[1:]))
+            if sizes[0] != n or sizes[-1] != 1 or obj["activation"] not in ("tanh", "relu"):
+                raise ValueError(f"bad layer_sizes {sizes} or activation {obj['activation']!r}")
+            weights, biases = obj["weights"], obj["biases"]
+            if len(weights) != len(shapes) or len(biases) != len(shapes):
+                raise ValueError(f"model needs {len(shapes)} weight matrices and bias vectors")
+            return MLPModel(
+                obj["property"], std, sizes, obj["activation"],
+                [_array(w, "weights", shape) for w, shape in zip(weights, shapes)],
+                [_array(b, "biases", shape[1:]) for b, shape in zip(biases, shapes)],
+                layout=obj["layout"],
+            )
+        raise ValueError(f"unknown model kind {obj['kind']!r}")
+    except KeyError as exc:
+        raise ConfigError(f"{path}: model file has no {exc}") from None
+    except (ValueError, TypeError, IndexError) as exc:
+        raise ConfigError(f"{path}: malformed model file: {exc}") from None
 
 
 class ExternalPredictor:

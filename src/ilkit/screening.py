@@ -65,6 +65,12 @@ class SearchConfig:
             raise ConfigError("beam_width >= 1, iterations >= 0, top_k >= 1 required")
         if not 0.0 <= self.similarity_floor <= 1.0:
             raise ConfigError("similarity_floor must lie in [0, 1]")
+        if self.fingerprint not in ("ecfp", "atom_pair"):
+            raise ConfigError(f"fingerprint must be ecfp|atom_pair, got {self.fingerprint!r}")
+        if not 0 <= self.radius <= 4:
+            raise ConfigError(f"radius must be in [0, 4], got {self.radius}")
+        if self.nbits < 0 or self.nbits & (self.nbits - 1):
+            raise ConfigError(f"nbits must be 0 or a power of two, got {self.nbits}")
 
 
 @dataclass(frozen=True)

@@ -412,22 +412,37 @@ def test_console_entry_point_runs():
     assert "ilkit" in proc.stdout
 
 
-def test_search_cli_with_config_file(tmp_path):
+def _search_inputs(tmp_path):
+    """Records, anion pool and lookup table for a five-anion EMIM/CO2 search."""
     anions = ["[S-]C#N", "N#C[N-]C#N", "N#C[C-](C#N)C#N", TF2N, "N#C[B-](C#N)(C#N)C#N"]
+    values = [-0.5964, -0.7336, -1.3686, -1.6346, -1.7204]
     records = _records_csv(
         tmp_path,
         [f"{EMIM},{a},{CO2},,298.15,il_solute,solvation_dg,{v},r{i}"
-         for i, (a, v) in enumerate(zip(anions, [-0.5964, -0.7336, -1.3686, -1.6346, -1.7204]))],
+         for i, (a, v) in enumerate(zip(anions, values))],
     )
     pool = tmp_path / "pool.smi"
     pool.write_text("\n".join(anions) + "\n")
     entries = [
         {"cation": canonicalize(EMIM), "anion": canonicalize(a), "solute": canonicalize(CO2),
          "solvent": None, "value": v}
-        for a, v in zip(anions, [-0.5964, -0.7336, -1.3686, -1.6346, -1.7204])
+        for a, v in zip(anions, values)
     ]
     lookup = tmp_path / "lookup.json"
     lookup.write_text(json.dumps({"entries": entries}))
+    return records, pool, lookup
+
+
+def _assert_one_config_error(code, out, err, *names):
+    assert (code, out) == (1, ""), err
+    assert err.startswith("error[config]: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    for name in names:
+        assert name in err, err
+
+
+def test_search_cli_with_config_file(tmp_path):
+    records, pool, lookup = _search_inputs(tmp_path)
     config = tmp_path / "search.cfg"
     config.write_text(
         "schema_version = 1\n"
@@ -447,6 +462,115 @@ def test_search_cli_with_config_file(tmp_path):
     best = json.loads(open(out_path).read().splitlines()[0])
     assert best["roles"]["anion"] == canonicalize("N#C[B-](C#N)(C#N)C#N")
     assert best["value"] == pytest.approx(-1.7204)
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("beam_width = 2.5", "beam_width"),
+        ("beam_width = true", "beam_width"),
+        ("top_k = 1.5", "top_k"),
+        ('similarity_floor = "x"', "similarity_floor"),
+        ("nbits = 100", "nbits"),
+        ("nbits = -8", "nbits"),
+        ("radius = 5", "radius"),
+        ('fingerprint = "morgan"', "fingerprint"),
+    ],
+)
+def test_bad_search_config_value_is_a_config_error(tmp_path, line, key):
+    records, pool, lookup = _search_inputs(tmp_path)
+    config = tmp_path / "search.cfg"
+    config.write_text(f"schema_version = 1\n{line}\n")
+    code, out, err = run_cli(
+        ["search", records, "--anion-pool", str(pool), "--lookup", str(lookup),
+         "--config", str(config)]
+    )
+    _assert_one_config_error(code, out, err, key)
+
+
+def _ridge_model_json(tmp_path):
+    records = _records_csv(tmp_path, _bulk_rows(20), name="train.csv")
+    path = tmp_path / "ridge.json"
+    code, _out, err = run_cli(["train", records, "--property", "mass_density", "-o", str(path)])
+    assert code == 0, err
+    return json.loads(path.read_text())
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "make_text",
+    [
+        lambda ridge: "{not json",
+        lambda ridge: "[1]",
+        lambda ridge: json.dumps({"schema_version": 1}),
+        lambda ridge: json.dumps(_without(ridge, "lambda")),
+        lambda ridge: json.dumps({**ridge, "weights": ridge["weights"][:10]}),
+        lambda ridge: json.dumps({**ridge, "bias": "x"}),
+        lambda ridge: json.dumps({**ridge, "kind": "forest"}),
+    ],
+    ids=["not-json", "list", "version-only", "no-lambda", "short-weights", "text-bias", "kind"],
+)
+def test_malformed_model_file_is_a_config_error(tmp_path, make_text):
+    records, pool, _lookup = _search_inputs(tmp_path)
+    model = tmp_path / "model.json"
+    model.write_text(make_text(_ridge_model_json(tmp_path)))
+    code, out, err = run_cli(
+        ["search", records, "--anion-pool", str(pool), "--model", str(model)]
+    )
+    _assert_one_config_error(code, out, err, str(model))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda mlp: mlp.update(weights=mlp["weights"][:-1]),
+        lambda mlp: mlp["biases"][0].pop(),
+        lambda mlp: mlp.update(layer_sizes=[10, *mlp["layer_sizes"][1:]]),
+        lambda mlp: mlp.update(activation="sigmoid"),
+    ],
+    ids=["one-layer-short", "short-bias", "sizes", "activation"],
+)
+def test_malformed_mlp_model_file_is_a_config_error(tmp_path, change):
+    records, pool, _lookup = _search_inputs(tmp_path)
+    config = tmp_path / "mlp.cfg"
+    config.write_text("schema_version = 1\nhidden = 4\nbatch_size = 8\nepochs = 1\n")
+    model = tmp_path / "mlp.json"
+    code, _out, err = run_cli(
+        ["train", _records_csv(tmp_path, _bulk_rows(20), name="train.csv"),
+         "--property", "mass_density", "--model", "mlp", "--config", str(config),
+         "-o", str(model)]
+    )
+    assert code == 0, err
+    obj = json.loads(model.read_text())
+    change(obj)
+    model.write_text(json.dumps(obj))
+    code, out, err = run_cli(
+        ["search", records, "--anion-pool", str(pool), "--model", str(model)]
+    )
+    _assert_one_config_error(code, out, err, str(model))
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        {"rows": []},
+        {"entries": [{"cation": EMIM, "anion": SCN, "solute": CO2, "value": "x"}]},
+        {"entries": [{"cation": EMIM, "anion": SCN, "solute": CO2}]},
+        {"entries": [1]},
+        [1],
+    ],
+    ids=["no-entries", "text-value", "no-value", "entry-not-object", "list"],
+)
+def test_malformed_lookup_table_is_a_config_error(tmp_path, table):
+    records, pool, lookup = _search_inputs(tmp_path)
+    lookup.write_text(json.dumps(table))
+    code, out, err = run_cli(
+        ["search", records, "--anion-pool", str(pool), "--lookup", str(lookup)]
+    )
+    _assert_one_config_error(code, out, err, str(lookup))
 
 
 def test_bad_record_number_is_a_schema_error_without_traceback(tmp_path):
@@ -728,7 +852,7 @@ def _modify_anion_external(tmp_path, ions, limit, *extra):
          "-o", str(tmp_path / "cands.jsonl"), "--trajectory-out", str(tmp_path / "trail.txt"),
          *extra]
     )
-    return code, err, log.read_text().split()
+    return code, err, log.read_text().split() if log.exists() else []
 
 
 def test_external_predictor_spawned_once_per_command(tmp_path, ions):
@@ -757,6 +881,15 @@ def test_external_predictor_that_cannot_start(tmp_path):
     )
     assert code == 1
     assert err.startswith("error[external-predictor]: cannot start predictor"), err
+
+
+def test_bad_search_config_starts_no_external_predictor(tmp_path, ions):
+    config = tmp_path / "search.cfg"
+    config.write_text("schema_version = 1\nnbits = 100\n")
+    code, err, pids = _modify_anion_external(tmp_path, ions, -1, "--config", str(config))
+    assert code == 1
+    assert err == "error[config]: nbits must be 0 or a power of two, got 100\n"
+    assert pids == []
 
 
 def test_external_predictor_ended_after_domain_error(tmp_path, ions):
