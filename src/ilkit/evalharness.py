@@ -8,8 +8,10 @@ fold summaries report mean +/- sample standard deviation.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,8 +109,9 @@ def pearson_r(x, y) -> float:
 def kendall_tau(x, y) -> float:
     """Tau-b: (C - D) / sqrt((n0 - t_x)(n0 - t_y)).
 
-    Concordant/discordant counts come from merge-sort inversion counting on
-    the y-sequence after sorting by (x, y), with tie-group corrections.
+    Discordant pairs are the strict inversions of the y-sequence taken in
+    (x, y) order, counted against a sorted prefix; tie-group sizes correct
+    the pair totals.
     """
     x = list(map(float, x))
     y = list(map(float, y))
@@ -116,58 +119,20 @@ def kendall_tau(x, y) -> float:
     if n != len(y) or n < 2:
         raise MetricError("kendall_tau needs equal-length vectors of size >= 2")
     n0 = n * (n - 1) // 2
-
-    def tie_pairs(values) -> int:
-        counts: dict[float, int] = {}
-        for v in values:
-            counts[v] = counts.get(v, 0) + 1
-        return sum(c * (c - 1) // 2 for c in counts.values())
-
-    t_x = tie_pairs(x)
-    t_y = tie_pairs(y)
+    t_x, t_y, t_xy = (
+        sum(c * (c - 1) // 2 for c in Counter(values).values())
+        for values in (x, y, zip(x, y))
+    )
     if n0 == t_x or n0 == t_y:
         raise MetricError("kendall_tau is undefined when one input is entirely tied")
 
-    order = sorted(range(n), key=lambda i: (x[i], y[i]))
-    xs = [x[i] for i in order]
-    ys = [y[i] for i in order]
-
-    t_xy = 0
-    run = 1
-    for i in range(1, n):
-        if xs[i] == xs[i - 1] and ys[i] == ys[i - 1]:
-            run += 1
-        else:
-            t_xy += run * (run - 1) // 2
-            run = 1
-    t_xy += run * (run - 1) // 2
-
-    # Discordant pairs = strict inversions in ys among pairs with distinct x.
     # Sorting places equal-x entries in ascending y, so no inversion forms
     # inside an x-tie group.
-    def count_inversions(seq: list[float]) -> int:
-        if len(seq) < 2:
-            return 0
-        mid = len(seq) // 2
-        left = seq[:mid]
-        right = seq[mid:]
-        inv = count_inversions(left) + count_inversions(right)
-        merged = []
-        i = j = 0
-        while i < len(left) and j < len(right):
-            if left[i] <= right[j]:
-                merged.append(left[i])
-                i += 1
-            else:
-                inv += len(left) - i
-                merged.append(right[j])
-                j += 1
-        merged.extend(left[i:])
-        merged.extend(right[j:])
-        seq[:] = merged
-        return inv
-
-    discordant = count_inversions(ys[:])
+    discordant = 0
+    seen: list[float] = []
+    for v in (yv for _xv, yv in sorted(zip(x, y))):
+        discordant += len(seen) - bisect.bisect_right(seen, v)
+        bisect.insort(seen, v)
     joint = n0 - t_x - t_y + t_xy  # pairs untied in both coordinates
     concordant = joint - discordant
     s = concordant - discordant

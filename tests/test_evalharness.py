@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -129,6 +130,22 @@ def test_kendall_matches_naive_oracle():
         if ties(x) == n0 or ties(y) == n0:
             continue
         assert kendall_tau(x, y) == pytest.approx(naive_tau_b(x, y), abs=1e-12)
+
+
+def test_kendall_tau_leaves_no_cyclic_garbage():
+    rng = random.Random(5)
+    x = [rng.randint(0, 20) for _ in range(400)]
+    y = [rng.random() for _ in range(400)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for _ in range(10):
+            kendall_tau(x, y)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class _ConstantModel:
