@@ -277,6 +277,8 @@ def _array(value, name: str, shape: tuple) -> np.ndarray:
     array = np.asarray(value, dtype=float)
     if array.shape != shape:
         raise ValueError(f"model {name} has shape {array.shape}, not {shape}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"model {name} holds a value that is not a finite number")
     return array
 
 

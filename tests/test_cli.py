@@ -496,22 +496,21 @@ def _ridge_model_json(tmp_path):
     return json.loads(path.read_text())
 
 
-def _without(obj, key):
-    return {k: v for k, v in obj.items() if k != key}
-
-
 @pytest.mark.parametrize(
     "make_text",
     [
         lambda ridge: "{not json",
         lambda ridge: "[1]",
         lambda ridge: json.dumps({"schema_version": 1}),
-        lambda ridge: json.dumps(_without(ridge, "lambda")),
+        lambda ridge: json.dumps({k: v for k, v in ridge.items() if k != "lambda"}),
         lambda ridge: json.dumps({**ridge, "weights": ridge["weights"][:10]}),
         lambda ridge: json.dumps({**ridge, "bias": "x"}),
+        lambda ridge: json.dumps({**ridge, "bias": None}),
+        lambda ridge: json.dumps({**ridge, "weights": [None, *ridge["weights"][1:]]}),
         lambda ridge: json.dumps({**ridge, "kind": "forest"}),
     ],
-    ids=["not-json", "list", "version-only", "no-lambda", "short-weights", "text-bias", "kind"],
+    ids=["not-json", "list", "version-only", "no-lambda", "short-weights", "text-bias",
+         "null-bias", "null-weight", "kind"],
 )
 def test_malformed_model_file_is_a_config_error(tmp_path, make_text):
     records, pool, _lookup = _search_inputs(tmp_path)
