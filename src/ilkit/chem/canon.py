@@ -234,15 +234,39 @@ def canonical_form(mol: Molecule) -> tuple[str, tuple[int, ...]]:
         sub, back = _extract_component(mol, comp)
         nbrs = _coded_neighbors(sub.bonds, sub.adjacency)
         base = refinement_ranks(sub.atoms, nbrs)
-        if len(set(base)) == len(base):
+        if len(set(base)) < len(base):
+            s, order = _least_leaf(sub, base, nbrs)
+        elif any(a.chirality for a in sub.atoms):
             s, order = _emit(sub, base, base)
         else:
-            s, order = _least_leaf(sub, base, nbrs)
+            s, order = _certified_emit(sub, base)
         results.append((s, [back[i] for i in order]))
     results.sort(key=lambda item: (item[0], item[1]))
     smiles = ".".join(s for s, _ in results)
     order = tuple(i for _, idxs in results for i in idxs)
     return smiles, order
+
+
+def _certified_emit(mol: Molecule, ranks: list[int]) -> tuple[str, tuple[int, ...]]:
+    """``_emit`` of an achiral molecule under all-distinct ``ranks``. The
+    molecule written in rank terms is a complete certificate (McKay & Piperno
+    2014) holding every field ``_emit`` reads, so every spelling shares one
+    table entry: the string and the emission order in ranks."""
+    atom_of = sorted(range(len(ranks)), key=ranks.__getitem__)
+    atoms = [mol.atoms[i] for i in atom_of]
+    bonds = [(ranks[b.a], ranks[b.b], b.order, b.stereo) for b in mol.bonds]
+    key = (
+        "certificate",
+        tuple((a.element, a.formal_charge, a.total_h, a.aromatic, a.isotope) for a in atoms),
+        tuple(sorted((x, y, o, s) if x < y else (y, x, o, s) for x, y, o, s in bonds)),
+    )
+
+    def emit() -> tuple[str, tuple[int, ...]]:
+        s, order = _emit(mol, ranks, ranks)
+        return s, tuple(ranks[i] for i in order)
+
+    s, rank_order = table.memo(key, emit)
+    return s, tuple(atom_of[r] for r in rank_order)
 
 
 def _extract_component(mol: Molecule, comp: list[int]) -> tuple[Molecule, list[int]]:

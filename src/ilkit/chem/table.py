@@ -1,20 +1,23 @@
 """Process-wide molecule table: each SMILES text is canonicalized once.
 
-One bounded store holds three kinds of entry:
+One bounded store holds four kinds of entry:
 
 - input text -> canonical SMILES, filled by ``ilkit.chem.canonicalize``
   and ``derived``;
 - (canonical SMILES, key) -> a value derived from the molecule, filled by
   ``derived`` under a key the caller gives (``"descriptors"``, a
   fingerprint's kind/radius/width, ...);
+- certificate -> (canonical SMILES, emission order in ranks), filled by
+  ``canonical_form`` for achiral components with all-distinct refinement
+  ranks, so every spelling of such a molecule shares one entry;
 - any other key a caller fills through ``memo``, such as a beam-search
   pool prepared under its texts and fingerprint parameters.
 
-Entries are strings and derived values, never ``Molecule`` objects. Every
-value is a pure function of the molecule, whatever spelling it was computed
-from, so neither eviction (oldest entry first, once ``MAX_ENTRIES`` are
-held) nor the order entries arrived in can change a result. Errors are not
-stored: bad input raises on every call.
+Entries are strings, numbers and derived values, never ``Molecule`` or
+``Atom`` objects. Every value is a pure function of the molecule, whatever
+spelling it was computed from, so neither eviction (oldest entry first, once
+``MAX_ENTRIES`` are held) nor the order entries arrived in can change a
+result. Errors are not stored: bad input raises on every call.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
@@ -133,11 +134,18 @@ def _read_lookup(path: str) -> dict:
     try:
         with open(path) as fh:
             entries = json.load(fh)["entries"]
-        return {tuple(e.get(role) for role in ROLE_ORDER): float(e["value"]) for e in entries}
+        return {tuple(e.get(role) for role in ROLE_ORDER): _finite(e["value"]) for e in entries}
     except KeyError as exc:
         raise ConfigError(f"{path}: lookup table has no {exc}") from None
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"{path}: malformed lookup table: {exc}") from None
+
+
+def _finite(value) -> float:
+    """A JSON number that is no bool and is finite, as a float."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"value {value!r} is not a finite number")
+    return float(value)
 
 
 @contextmanager

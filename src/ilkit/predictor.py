@@ -253,6 +253,9 @@ def predict(model, record: SystemRecord) -> float:
         )
     if model.layout != LAYOUT_TAG:
         raise PredictionError(f"model layout {model.layout!r} != expected {LAYOUT_TAG!r}")
+    n = len(model.standardizer.mean)
+    if n != PSEUDO_LABEL_LENGTH:
+        raise PredictionError(f"model takes {n} features, its layout has {PSEUDO_LABEL_LENGTH}")
     return float(model.predict_features(featurize_record(record))[0])
 
 

@@ -5,19 +5,22 @@ orders drawn by hypothesis (derandomized, so runs are repeatable). The
 respelling must canonicalize to the same string, and its first-sight
 fingerprints (one parse for the canonical SMILES and the fingerprint) must
 equal the fingerprints of the canonical SMILES's own parse, whatever the
-molecule table already holds. Mutated fixture-ion SMILES must be rejected
+molecule table already holds. Its canonical form (string and atom order)
+must equal the one ``_emit`` writes without the table, whichever spelling
+filled the certificate entry. Mutated fixture-ion SMILES must be rejected
 with an ``IlkitError`` or reach a fixed point with the same ECFP, and the
 reader must parse or reject them exactly as its frozen oracle does.
 """
 
 import functools
 from collections import OrderedDict
+from unittest import mock
 
 import pytest
 
 from conftest import load_ions
 from genmol import HYPERVALENT_ANIONS, SYMMETRIC_PANEL, corpus
-from ilkit.chem import canonicalize, parse_smiles, table, write_smiles
+from ilkit.chem import canon, canonicalize, parse_smiles, table, write_smiles
 from ilkit.errors import IlkitError
 from ilkit.fingerprints import make_fingerprint
 from ilkit.screening import FingerprintCache
@@ -39,6 +42,37 @@ def test_canonical_smiles_invariant_under_atom_order(name, data):
     mol = MOLECULES[name]
     order = data.draw(st.permutations(range(len(mol.atoms))), label="order")
     assert canonicalize(write_smiles(mol, order)) == mol.canonical_smiles
+
+
+def _uncached_form(mol):
+    """``canonical_form`` with every component written by ``_emit`` itself."""
+    with mock.patch.object(canon, "_certified_emit", lambda m, ranks: canon._emit(m, ranks, ranks)):
+        return canon.canonical_form(mol)
+
+
+def _forms_on(entries, mols):
+    """``canonical_form`` of each molecule, in order, on the given table."""
+    saved = table._entries
+    table._entries = entries
+    try:
+        return [canon.canonical_form(mol) for mol in mols]
+    finally:
+        table._entries = saved
+
+
+# Kept across every example: certificate entries filled by earlier spellings.
+_WARM_FORMS: OrderedDict = OrderedDict()
+
+
+@hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@hypothesis.given(data=st.data())
+def test_certificate_entries_give_the_uncached_form(equality_panel, data):
+    mol = data.draw(st.sampled_from([*equality_panel, *MOLECULES.values()]), label="molecule")
+    order = data.draw(st.permutations(range(len(mol.atoms))), label="order")
+    respelled = parse_smiles(write_smiles(mol, order))
+    want = [_uncached_form(mol), _uncached_form(respelled)]
+    assert _forms_on(OrderedDict(), [respelled]) == want[1:]
+    assert _forms_on(_WARM_FORMS, [mol, respelled]) == want
 
 
 CACHES = [FingerprintCache(kind, 2, nbits) for kind in ("ecfp", "atom_pair") for nbits in (2048, 0)]

@@ -2,12 +2,16 @@ import gc
 import hashlib
 import random
 import sys
+from dataclasses import fields
 
 import pytest
 
 from genmol import CURATED_SMILES, HYPERVALENT_ANIONS, SYMMETRIC_PANEL, corpus
-from ilkit.chem import canonicalize, from_graph, parse_smiles, structural_match, write_smiles
+from ilkit.chem import (
+    canon, canonicalize, from_graph, parse_smiles, structural_match, table, write_smiles
+)
 from ilkit.chem.canon import _coded_neighbors, _emit, _refine, canonical_form, refinement_ranks
+from ilkit.chem.mol import Atom, Bond
 from oracles import canon_oracle
 from oracles.canon_oracle import oracle_canonical_form
 from ilkit.errors import IlkitError
@@ -334,3 +338,73 @@ def test_tie_search_leaves_no_cyclic_garbage():
 def test_hypervalent_anions_canonicalize(name):
     canonical = canonicalize(HYPERVALENT_ANIONS[name])
     assert canonicalize(canonical) == canonical
+
+
+def _emit_calls(monkeypatch, texts):
+    """How often ``canonical_form`` of each text, on a cleared table, calls ``_emit``."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _emit(*args)
+
+    table._entries.clear()
+    mols = [parse_smiles(t) for t in texts]
+    monkeypatch.setattr(canon, "_emit", counted)
+    forms = {canonical_form(mol)[0] for mol in mols}
+    assert len(forms) == 1
+    return len(calls)
+
+
+def _respelled(smiles, count):
+    """``count`` distinct spellings of one molecule whose refinement ranks are all distinct."""
+    mol = parse_smiles(smiles)
+    base = refinement_ranks(mol.atoms, _coded_neighbors(mol.bonds, mol.adjacency))
+    assert len(set(base)) == len(base)
+    rng = random.Random(smiles)
+    texts = {smiles}
+    while len(texts) < count:
+        order = list(range(len(mol.atoms)))
+        rng.shuffle(order)
+        texts.add(write_smiles(mol, order))
+    return sorted(texts)
+
+
+def test_respellings_share_one_emission(monkeypatch):
+    # EMIM: every spelling reads the certificate entry the first one filled.
+    assert _emit_calls(monkeypatch, _respelled("CCn1cc[n+](C)c1", 10)) == 1
+
+
+def test_chiral_molecules_are_emitted_per_spelling(monkeypatch):
+    # A chiral mark is written against the stored neighbour order, which
+    # follows the spelling, so a chiral molecule takes no certificate entry.
+    assert _emit_calls(monkeypatch, _respelled("C[C@H](N)C(=O)O", 10)) == 10
+
+
+# Each pair refines to the same all-distinct ranks, and its certificates
+# differ in one field only: element, charge, hydrogens, isotope, bond stereo.
+_CERTIFICATE_PAIRS = [
+    ("CO", "CS"), ("C[NH-]", "C[NH+]"), ("C[NH]", "CN"), ("OCC", "OC[13CH3]"),
+    ("C/C=C/CO", "C/C=C\\CO"),
+]
+
+
+@pytest.mark.parametrize("pair", _CERTIFICATE_PAIRS)
+def test_molecules_one_certificate_field_apart_keep_their_own_forms(pair):
+    forms = []
+    for texts in (pair, pair[::-1]):
+        table._entries.clear()
+        forms.append([canonical_form(parse_smiles(t)) for t in texts])
+    assert forms[0] == forms[1][::-1]
+    assert forms[0][0][0] != forms[0][1][0]
+
+
+def test_certificate_covers_every_atom_and_bond_field():
+    # canon._certified_emit keys a molecule on each atom's element, charge,
+    # total hydrogens, aromatic flag and isotope (chiral molecules are never
+    # keyed) and each bond's ends, order and stereo. Two molecules that
+    # differ only in a field left out of the key would share one entry.
+    message = "a new field that canon._emit reads must join the certificate in _certified_emit"
+    atom = ["element", "formal_charge", "explicit_h", "implicit_h", "aromatic", "chirality", "isotope"]
+    assert [f.name for f in fields(Atom)] == atom, message
+    assert [f.name for f in fields(Bond)] == ["a", "b", "order", "stereo", "in_ring"], message

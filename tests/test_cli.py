@@ -560,8 +560,11 @@ def test_malformed_mlp_model_file_is_a_config_error(tmp_path, change):
         {"entries": [{"cation": EMIM, "anion": SCN, "solute": CO2}]},
         {"entries": [1]},
         [1],
+        *({"entries": [{"cation": EMIM, "anion": SCN, "solute": CO2, "value": v}]}
+          for v in ["nan", float("nan"), float("inf"), "-1.5", True, None, 10**400]),
     ],
-    ids=["no-entries", "text-value", "no-value", "entry-not-object", "list"],
+    ids=["no-entries", "text-value", "no-value", "entry-not-object", "list", "text-nan", "nan",
+         "inf", "text-number", "bool", "null", "huge-int"],
 )
 def test_malformed_lookup_table_is_a_config_error(tmp_path, table):
     records, pool, lookup = _search_inputs(tmp_path)
@@ -570,6 +573,19 @@ def test_malformed_lookup_table_is_a_config_error(tmp_path, table):
         ["search", records, "--anion-pool", str(pool), "--lookup", str(lookup)]
     )
     _assert_one_config_error(code, out, err, str(lookup))
+
+
+def test_model_narrower_than_the_layout_is_a_prediction_error(tmp_path):
+    # mean, scale and weights agree with one another, so the file loads.
+    records, pool, _lookup = _search_inputs(tmp_path)
+    ridge = _ridge_model_json(tmp_path)
+    model = tmp_path / "narrow.json"
+    model.write_text(json.dumps({**ridge, **{k: ridge[k][:10] for k in ("mean", "scale", "weights")}}))
+    code, out, err = run_cli(
+        ["search", records, "--anion-pool", str(pool), "--model", str(model)]
+    )
+    assert (code, out) == (1, ""), err
+    assert err == "error[prediction]: model takes 10 features, its layout has 89\n"
 
 
 def test_bad_record_number_is_a_schema_error_without_traceback(tmp_path):

@@ -141,9 +141,13 @@ def test_pool_preparation_parses_each_text_once(monkeypatch):
 
 
 def _load(tmp_path):
+    """Records whose cation alternates between two spellings of EMIM, whose
+    refinement ranks are all distinct: both spellings read one certificate
+    entry, which a four-entry table evicts between them."""
     texts = _respellings(seed=53, size=12)
+    cations = ("CC[n+]1ccn(C)c1", "c1[n+](CC)ccn1C")
     records = [
-        SystemRecord("il_solute", cation="CC[n+]1ccn(C)c1", anion="[S-]C#N", solute=text,
+        SystemRecord("il_solute", cation=cations[i % 2], anion="[S-]C#N", solute=text,
                      temperature=298.15, property="solvation_dg", value=1.0, source_id=f"r{i}")
         for i, text in enumerate(texts)
     ]
