@@ -1,13 +1,17 @@
 """Circular (ECFP-style) and atom-pair fingerprints with Tanimoto similarity.
 
 Identifiers come from a fixed seeded 64-bit mixer (see ilkit.stablehash), so
-fingerprints are bit-exact reproducible across platforms and runs. A width
-of 0 keeps the raw identifier set unfolded, which the similarity tests use
-as a collision-free reference.
+fingerprints are bit-exact reproducible across platforms and runs. Every
+identifier goes through one bounded memo of that mixer (``_hash``, at most
+4096 int-tuple keys): distinct molecules still share most atom types, small
+environments and atom-pair keys, so about three hashes in four repeat a key
+already seen. A width of 0 keeps the raw identifier set unfolded, which the
+similarity tests use as a collision-free reference.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,13 +20,14 @@ import numpy as np
 from .chem.elements import atomic_number
 from .chem.mol import AROMATIC, BOND_CODE, DOUBLE, Molecule, SINGLE, TRIPLE
 from .descriptors.topology import heavy_distances
-from .errors import IlkitError
+from .errors import ConfigError, IlkitError
 from .stablehash import combine
 
 _PI_BONDS = {SINGLE: 0, DOUBLE: 1, TRIPLE: 2, AROMATIC: 1}
 DEFAULT_NBITS = 2048
 DEFAULT_RADIUS = 2
 _DISTANCE_CAP = 30
+_hash = functools.lru_cache(maxsize=1 << 12)(combine)
 
 
 @dataclass(frozen=True)
@@ -39,7 +44,7 @@ class Fingerprint:
             frozen = frozenset(ids)
             return Fingerprint(kind, 0, radius, frozen, len(frozen))
         if nbits < 1 or nbits & (nbits - 1):
-            raise IlkitError(f"nbits must be a power of two, got {nbits}")
+            raise ConfigError(f"nbits must be 0 or a power of two, got {nbits}")
         mask = 0
         for ident in ids:
             mask |= 1 << (ident % nbits)
@@ -47,7 +52,7 @@ class Fingerprint:
 
     def to_hex(self) -> str:
         if self.nbits == 0:
-            raise IlkitError("unfolded fingerprints have no fixed-width encoding")
+            raise ConfigError("unfolded fingerprints have no fixed-width encoding")
         width = self.nbits // 4
         return format(self.bits, f"0{width}x")
 
@@ -58,21 +63,19 @@ def _initial_invariants(mol: Molecule) -> list[int]:
         if bond.in_ring:
             ring_atoms.add(bond.a)
             ring_atoms.add(bond.b)
-    inv = []
-    for i, atom in enumerate(mol.atoms):
-        inv.append(
-            combine(
-                (
-                    atomic_number(atom.element),
-                    atom.formal_charge,
-                    mol.degree(i),
-                    atom.total_h,
-                    int(atom.aromatic),
-                    int(i in ring_atoms),
-                )
+    return [
+        _hash(
+            (
+                atomic_number(atom.element),
+                atom.formal_charge,
+                mol.degree(i),
+                atom.total_h,
+                int(atom.aromatic),
+                int(i in ring_atoms),
             )
         )
-    return inv
+        for i, atom in enumerate(mol.atoms)
+    ]
 
 
 def ecfp_identifiers(mol: Molecule, radius: int = DEFAULT_RADIUS) -> set[int]:
@@ -84,44 +87,37 @@ def ecfp_identifiers(mol: Molecule, radius: int = DEFAULT_RADIUS) -> set[int]:
     numbering, so fingerprints are canonicalization-invariant.
     """
     if not 0 <= radius <= 4:
-        raise IlkitError(f"radius must be in [0, 4], got {radius}")
-    ids: set[int] = set()
-    invariants = _initial_invariants(mol)
-    ids.update(invariants)
-
-    # Bond set covered by each atom's environment at the current radius.
-    coverage: list[frozenset[int]] = [frozenset() for _ in mol.atoms]
-    seen_envs: set[frozenset[int]] = {frozenset()}  # radius-0 environments
-    current = list(invariants)
+        raise ConfigError(f"radius must be in [0, 4], got {radius}")
+    current = _initial_invariants(mol)
+    ids = set(current)
+    codes = [BOND_CODE[bond.order] for bond in mol.bonds]
+    # Bonds covered by each atom's environment at the current radius, as a
+    # bitmask of bond indices; every radius-0 environment covers none.
+    coverage = [0] * len(current)
+    seen_envs = {0}
     for layer in range(1, radius + 1):
         new_inv = []
         new_cov = []
-        for i in range(len(mol.atoms)):
-            nbrs = sorted(
-                (BOND_CODE[mol.bonds[bi].order], current[j])
-                for j, bi in mol.neighbors(i)
-            )
-            ident = combine(
-                [layer, current[i]] + [v for pair in nbrs for v in pair]
-            )
-            cov = set(coverage[i])
-            for j, bi in mol.neighbors(i):
-                cov.add(bi)
-                cov |= coverage[j]
-            new_inv.append(ident)
-            new_cov.append(frozenset(cov))
+        for i, nbrs in enumerate(mol.adjacency):
+            # Key: layer, own identifier, then the sorted (bond code,
+            # neighbour identifier) pairs, flattened.
+            pairs = sorted([(codes[bi], current[j]) for j, bi in nbrs])
+            cov = coverage[i]
+            for j, bi in nbrs:
+                cov |= coverage[j] | 1 << bi
+            new_inv.append(_hash(sum(pairs, (layer, current[i]))))
+            new_cov.append(cov)
         current = new_inv
         coverage = new_cov
-        fresh: dict[frozenset[int], int] = {}
-        for i in range(len(mol.atoms)):
-            if coverage[i] in seen_envs:
+        fresh: dict[int, int] = {}
+        for cov, ident in zip(coverage, current):
+            if cov in seen_envs:
                 continue
-            prev = fresh.get(coverage[i])
-            if prev is None or current[i] < prev:
-                fresh[coverage[i]] = current[i]
-        for cov, ident in fresh.items():
-            seen_envs.add(cov)
-            ids.add(ident)
+            prev = fresh.get(cov)
+            if prev is None or ident < prev:
+                fresh[cov] = ident
+        seen_envs.update(fresh)
+        ids.update(fresh.values())
     return ids
 
 
@@ -140,11 +136,11 @@ def atom_pair_identifiers(mol: Molecule) -> set[int]:
             heavy_deg[i] += 1
             pi_bonds[i] += _PI_BONDS[order]
     types = [
-        combine((atomic_number(mol.atoms[i].element), heavy_deg[k], pi_bonds[k]))
+        _hash((atomic_number(mol.atoms[i].element), heavy_deg[k], pi_bonds[k]))
         for k, i in enumerate(heavy)
     ]
 
-    # Many pairs share a (type, type, distance) key; hash each key once.
+    # Many pairs share a (type, type, distance) key; look each key up once.
     keys = set()
     for a in range(len(heavy)):
         for b in range(a + 1, len(heavy)):
@@ -153,7 +149,7 @@ def atom_pair_identifiers(mol: Molecule) -> set[int]:
                 continue
             t1, t2 = sorted((types[a], types[b]))
             keys.add((t1, t2, min(d, _DISTANCE_CAP)))
-    return {combine(key) for key in keys}
+    return {_hash(key) for key in keys}
 
 
 def atom_pair(mol: Molecule, nbits: int = DEFAULT_NBITS) -> Fingerprint:
@@ -166,10 +162,13 @@ def make_fingerprint(
     radius: int = DEFAULT_RADIUS,
     nbits: int = DEFAULT_NBITS,
 ) -> Fingerprint:
-    """The molecule's fingerprint, computed once and kept on the molecule."""
+    """The molecule's fingerprint, computed once and kept on the molecule.
+
+    Atom pairs ignore ``radius``, so they are kept once per width."""
     if kind == "ecfp":
         compute = lambda: ecfp(mol, radius, nbits)  # noqa: E731
     elif kind == "atom_pair":
+        radius = None
         compute = lambda: atom_pair(mol, nbits)  # noqa: E731
     else:
         raise IlkitError(f"unknown fingerprint kind {kind!r}")
@@ -178,9 +177,10 @@ def make_fingerprint(
 
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
     """|a & b| / |a | b|; 1.0 when both fingerprints are empty."""
-    if a.kind != b.kind or a.nbits != b.nbits:
+    if a.kind != b.kind or a.nbits != b.nbits or a.radius != b.radius:
         raise IlkitError(
-            f"fingerprint mismatch: {a.kind}/{a.nbits} vs {b.kind}/{b.nbits}"
+            f"fingerprint mismatch: {a.kind}/{a.nbits} radius {a.radius}"
+            f" vs {b.kind}/{b.nbits} radius {b.radius}"
         )
     if a.nbits == 0:
         inter = len(a.bits & b.bits)

@@ -96,6 +96,27 @@ def test_fingerprint_hex(tmp_path):
     assert len(out.strip()) == 512 // 4
 
 
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        (command, flags, message)
+        for command in ("fingerprint", "similarity")
+        for flags, message in [
+            (["--nbits", "100"], "nbits must be 0 or a power of two, got 100"),
+            (["--nbits", "-8"], "nbits must be 0 or a power of two, got -8"),
+            (["--radius", "-1"], "radius must be in [0, 4], got -1"),
+            (["--radius", "5"], "radius must be in [0, 4], got 5"),
+        ]
+    ]
+    + [("fingerprint", ["--nbits", "0"], "unfolded fingerprints have no fixed-width encoding")],
+)
+def test_bad_fingerprint_setting_is_a_config_error(tmp_path, command, flags, message):
+    smi = tmp_path / "mols.smi"
+    smi.write_text("c1ccccc1\nCCO\n")
+    code, out, err = run_cli([command, str(smi), *flags])
+    assert (code, out, err) == (1, "", f"error[config]: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["canonicalize", "descriptors", "fingerprint", "similarity"])
 def test_bad_smiles_names_its_line(tmp_path, command):
     smi = tmp_path / "mols.smi"

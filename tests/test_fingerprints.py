@@ -1,3 +1,4 @@
+import functools
 import random
 
 import numpy as np
@@ -7,7 +8,8 @@ from genmol import corpus
 from ilkit.chem import parse_smiles, structural_match, write_smiles
 from ilkit.descriptors.topology import heavy_distances
 from ilkit import fingerprints
-from ilkit.errors import IlkitError
+from ilkit.errors import ConfigError, IlkitError
+from ilkit.stablehash import combine
 from ilkit.fingerprints import (
     Fingerprint,
     atom_pair,
@@ -61,6 +63,14 @@ def test_kind_mismatch_rejected():
         tanimoto(ecfp(parse_smiles("C")), atom_pair(parse_smiles("C")))
     with pytest.raises(IlkitError):
         tanimoto(ecfp(parse_smiles("C"), nbits=1024), ecfp(parse_smiles("C"), nbits=2048))
+
+
+def test_radius_mismatch_rejected():
+    message = r"fingerprint mismatch: ecfp/2048 radius 1 vs ecfp/2048 radius 2$"
+    with pytest.raises(IlkitError, match=message):
+        tanimoto(ecfp(parse_smiles("CCO"), radius=1), ecfp(parse_smiles("CCN"), radius=2))
+    pairs = atom_pair(parse_smiles("CCO"))
+    assert tanimoto(pairs, make_fingerprint(parse_smiles("OCC"), "atom_pair", radius=3)) == 1.0
 
 
 def test_folded_matches_unfolded_set_arithmetic():
@@ -118,13 +128,15 @@ def test_collision_audit_on_panel():
 
 
 def test_radius_bounds():
-    with pytest.raises(IlkitError):
-        ecfp(parse_smiles("C"), radius=5)
+    for radius in (-1, 5):
+        with pytest.raises(ConfigError, match="radius"):
+            ecfp(parse_smiles("C"), radius=radius)
 
 
 def test_nbits_must_be_power_of_two():
-    with pytest.raises(IlkitError):
-        ecfp(parse_smiles("C"), nbits=1000)
+    for nbits in (1000, -8):
+        with pytest.raises(ConfigError, match="nbits"):
+            ecfp(parse_smiles("C"), nbits=nbits)
 
 
 def test_hex_roundtrip_width():
@@ -201,6 +213,68 @@ def test_identifiers_and_hex_equal_frozen_oracle_on_equality_panel(equality_pane
                 assert got == fp_oracle.folded_hex(want, nbits)
 
 
+# Every identifier is hashed through one bounded memo, ``fingerprints._hash``.
+
+
+def test_identifiers_do_not_depend_on_memo_state(equality_panel):
+    memo = fingerprints._hash
+    maxsize = memo.cache_info().maxsize
+    want = [
+        ([fp_oracle.ecfp_identifiers(mol, r) for r in (2, 4)], fp_oracle.atom_pair_identifiers(mol))
+        for mol in equality_panel
+    ]
+
+    def check():
+        for mol, (ecfps, pairs) in zip(equality_panel, want):
+            assert [ecfp_identifiers(mol, r) for r in (2, 4)] == ecfps
+            assert atom_pair_identifiers(mol) == pairs
+        assert memo.cache_info().currsize <= maxsize
+
+    memo.cache_clear()
+    check()  # from cleared; the panel alone overflows the memo
+    check()  # warm
+    for k in range(maxsize + 1):
+        memo((-1, k))
+    assert memo.cache_info().currsize == maxsize
+    check()  # overflowed by unrelated keys
+
+
+def test_each_distinct_key_is_hashed_once(monkeypatch):
+    def keys_of(mol):
+        keys = set()
+
+        def recorded(values):
+            keys.add(tuple(values))
+            return combine(values)
+
+        with monkeypatch.context() as m:
+            m.setattr(fp_oracle, "combine", recorded)
+            fp_oracle.ecfp_identifiers(mol, 2)
+            fp_oracle.atom_pair_identifiers(mol)
+        return keys
+
+    hashed = []
+
+    def counted(values):
+        hashed.append(values)
+        return combine(values)
+
+    maxsize = fingerprints._hash.cache_info().maxsize
+    monkeypatch.setattr(fingerprints, "_hash", functools.lru_cache(maxsize)(counted))
+    # Both molecules carry a butyl chain: the second hashes only its new keys.
+    first, second = parse_smiles("CCCCn1cc[n+](C)c1"), parse_smiles("CCCCO")
+    seen: set = set()
+    for mol in (first, second):
+        keys = keys_of(mol)
+        hashed.clear()
+        ecfp_identifiers(mol)
+        atom_pair_identifiers(mol)
+        assert len(hashed) == len(set(hashed))
+        assert set(hashed) == keys - seen
+        seen |= keys
+    assert len(hashed) < len(keys_of(second))
+
+
 # Each molecule keeps its fingerprints: the second request is a lookup.
 
 
@@ -252,8 +326,13 @@ def test_each_radius_and_width_is_its_own_entry(monkeypatch):
         assert (fp.radius, fp.nbits) == (r, n)
         assert fp == make_fingerprint(parse_smiles("OCC(=O)[O-]"), "ecfp", r, n)
         assert make_fingerprint(mol, "ecfp", r, n) is fp
+    # Atom pairs ignore the radius: one entry serves every radius.
+    pairs = make_fingerprint(mol, "atom_pair", radius=1)
+    assert make_fingerprint(mol, "atom_pair", radius=3) is pairs
+    assert pairs.radius is None and calls["atom_pair"] == 1
     assert make_fingerprint(mol, "atom_pair", nbits=64).nbits == 64
-    assert make_fingerprint(mol, "atom_pair", nbits=2048).nbits == 2048
+    assert make_fingerprint(mol, "atom_pair", nbits=2048) is pairs
+    assert calls["atom_pair"] == 2
 
 
 def test_unknown_kind_or_bad_radius_raises_every_time_and_keeps_nothing():
