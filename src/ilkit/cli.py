@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
@@ -37,12 +36,14 @@ from .featurize import assemble_system
 from .fingerprints import (
     DEFAULT_NBITS,
     DEFAULT_RADIUS,
+    KINDS,
     make_fingerprint,
     similarity_matrix,
 )
 from .predictor import (
     ExternalPredictor,
     MLPConfig,
+    finite_number,
     load_model,
     predict,
     save_model,
@@ -134,18 +135,15 @@ def _read_lookup(path: str) -> dict:
     try:
         with open(path) as fh:
             entries = json.load(fh)["entries"]
-        return {tuple(e.get(role) for role in ROLE_ORDER): _finite(e["value"]) for e in entries}
+        lookup = {tuple(e.get(r) for r in ROLE_ORDER): finite_number(e["value"]) for e in entries}
+        for roles in lookup:
+            if any(s is not None and type(s) is not str for s in roles):
+                raise ValueError(f"roles {roles} are not each a string or null")
+        return lookup
     except KeyError as exc:
         raise ConfigError(f"{path}: lookup table has no {exc}") from None
     except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"{path}: malformed lookup table: {exc}") from None
-
-
-def _finite(value) -> float:
-    """A JSON number that is no bool and is finite, as a float."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"value {value!r} is not a finite number")
-    return float(value)
 
 
 @contextmanager
@@ -262,7 +260,7 @@ def _cmd_fingerprint(args) -> int:
 
 def _cmd_similarity(args) -> int:
     mols = list(_smiles_lines(args.input, parse_smiles))
-    kinds = ["ecfp", "atom_pair"] if args.combine == "mean" else [args.kind]
+    kinds = KINDS if args.combine == "mean" else [args.kind]
     matrices = [
         similarity_matrix(mols, kind, args.radius, args.nbits)
         for kind in kinds
@@ -446,14 +444,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fingerprint", help="hex fingerprints per molecule")
     add_io(p)
-    p.add_argument("--kind", choices=["ecfp", "atom_pair"], default="ecfp")
+    p.add_argument("--kind", choices=KINDS, default="ecfp")
     p.add_argument("--radius", type=int, default=DEFAULT_RADIUS)
     p.add_argument("--nbits", type=int, default=DEFAULT_NBITS)
     p.set_defaults(func=_cmd_fingerprint)
 
     p = sub.add_parser("similarity", help="pairwise Tanimoto matrix (+ dendrogram order)")
     add_io(p)
-    p.add_argument("--kind", choices=["ecfp", "atom_pair"], default="ecfp")
+    p.add_argument("--kind", choices=KINDS, default="ecfp")
     p.add_argument("--radius", type=int, default=DEFAULT_RADIUS)
     p.add_argument("--nbits", type=int, default=DEFAULT_NBITS)
     p.add_argument("--combine", choices=["mean"], help="average the two fingerprint kinds")
@@ -502,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--iterations", type=int)
         p.add_argument("--top-k", dest="top_k", type=int)
         p.add_argument("--similarity-floor", dest="similarity_floor", type=float)
-        p.add_argument("--fingerprint", choices=["ecfp", "atom_pair"])
+        p.add_argument("--fingerprint", choices=KINDS)
         p.add_argument("-o", "--output", help="candidates JSONL (default stdout)")
         p.add_argument("--trajectory-out", help="trajectory table path (default stderr)")
 

@@ -164,12 +164,6 @@ class MetricReport:
             return 0.0
         return float(np.std(vals, ddof=1))
 
-    def summary(self) -> dict[str, tuple[float, float]]:
-        return {
-            name: (self.mean(name), self.std(name))
-            for name in ("rmse", "pearson_r", "kendall_tau")
-        }
-
     def format_row(self) -> str:
         """The usual 'mean+/-std' presentation, 3 significant figures."""
         cells = []

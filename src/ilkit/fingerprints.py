@@ -24,10 +24,24 @@ from .errors import ConfigError, IlkitError
 from .stablehash import combine
 
 _PI_BONDS = {SINGLE: 0, DOUBLE: 1, TRIPLE: 2, AROMATIC: 1}
+KINDS = ("ecfp", "atom_pair")
 DEFAULT_NBITS = 2048
 DEFAULT_RADIUS = 2
 _DISTANCE_CAP = 30
 _hash = functools.lru_cache(maxsize=1 << 12)(combine)
+
+
+def fingerprint_key(kind: str, radius: int, nbits: int) -> tuple:
+    """The one check of fingerprint settings, and the key such fingerprints
+    are kept under. Atom pairs ignore the radius (it must still lie in
+    [0, 4]), so their key holds ``None`` there: one entry serves every radius."""
+    if kind not in KINDS:
+        raise ConfigError(f"fingerprint must be {'|'.join(KINDS)}, got {kind!r}")
+    if not 0 <= radius <= 4:
+        raise ConfigError(f"radius must be in [0, 4], got {radius}")
+    if nbits < 0 or nbits & (nbits - 1):
+        raise ConfigError(f"nbits must be 0 or a power of two, got {nbits}")
+    return ("fingerprint", kind, radius if kind == "ecfp" else None, nbits)
 
 
 @dataclass(frozen=True)
@@ -39,12 +53,11 @@ class Fingerprint:
     popcount: int = 0
 
     @staticmethod
-    def from_ids(kind: str, ids: set[int], nbits: int, radius: int | None = None) -> "Fingerprint":
+    def from_ids(kind: str, ids: set[int], nbits: int, radius: int = DEFAULT_RADIUS) -> "Fingerprint":
+        _, kind, radius, nbits = fingerprint_key(kind, radius, nbits)
         if nbits == 0:
             frozen = frozenset(ids)
             return Fingerprint(kind, 0, radius, frozen, len(frozen))
-        if nbits < 1 or nbits & (nbits - 1):
-            raise ConfigError(f"nbits must be 0 or a power of two, got {nbits}")
         mask = 0
         for ident in ids:
             mask |= 1 << (ident % nbits)
@@ -86,8 +99,7 @@ def ecfp_identifiers(mol: Molecule, radius: int = DEFAULT_RADIUS) -> set[int]:
     first). Keeping the minimum makes the rule independent of atom
     numbering, so fingerprints are canonicalization-invariant.
     """
-    if not 0 <= radius <= 4:
-        raise ConfigError(f"radius must be in [0, 4], got {radius}")
+    fingerprint_key("ecfp", radius, 0)
     current = _initial_invariants(mol)
     ids = set(current)
     codes = [BOND_CODE[bond.order] for bond in mol.bonds]
@@ -162,17 +174,12 @@ def make_fingerprint(
     radius: int = DEFAULT_RADIUS,
     nbits: int = DEFAULT_NBITS,
 ) -> Fingerprint:
-    """The molecule's fingerprint, computed once and kept on the molecule.
-
-    Atom pairs ignore ``radius``, so they are kept once per width."""
+    """The molecule's fingerprint, computed once and kept on the molecule
+    under ``fingerprint_key``, so atom pairs are kept once per width."""
+    key = fingerprint_key(kind, radius, nbits)
     if kind == "ecfp":
-        compute = lambda: ecfp(mol, radius, nbits)  # noqa: E731
-    elif kind == "atom_pair":
-        radius = None
-        compute = lambda: atom_pair(mol, nbits)  # noqa: E731
-    else:
-        raise IlkitError(f"unknown fingerprint kind {kind!r}")
-    return mol.derived(("fingerprint", kind, radius, nbits), compute)
+        return mol.derived(key, lambda: ecfp(mol, radius, nbits))
+    return mol.derived(key, lambda: atom_pair(mol, nbits))
 
 
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:

@@ -11,6 +11,7 @@ model serve predictions to the screening loops.
 from __future__ import annotations
 
 import json
+import math
 import select
 import shlex
 import subprocess
@@ -30,6 +31,13 @@ from .errors import (
 LAYOUT_TAG = f"system-features/v1/{PSEUDO_LABEL_LENGTH}"
 MODEL_SCHEMA_VERSION = 1
 PROTOCOL_SCHEMA_VERSION = 1
+
+
+def finite_number(value) -> float:
+    """A JSON number that is no bool and is finite, as a float."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"value {value!r} is not a finite number")
+    return float(value)
 
 
 def featurize_record(record: SystemRecord) -> np.ndarray:
@@ -329,7 +337,7 @@ class ExternalPredictor:
     """Child-process predictor speaking newline-delimited JSON.
 
     One request ``{"schema_version": 1, "record": {...}}`` per line on the
-    child's stdin, one ``{"value": <float>}`` per line on its stdout, strictly
+    child's stdin, one ``{"value": <finite number>}`` per line on its stdout, strictly
     in order with a single request in flight. The child lives for one
     ``with`` block. Calling the instance on a record sends the next request;
     errors name its 0-based index among all requests sent to this child.
@@ -410,9 +418,8 @@ class ExternalPredictor:
             ) from exc
         line = self._read_line(index)
         try:
-            obj = json.loads(line)
-            return float(obj["value"])
-        except (ValueError, KeyError, TypeError) as exc:
+            return finite_number(json.loads(line)["value"])
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ExternalPredictorError(
                 f"record {index}: malformed response {line[:200]!r}"
             ) from exc

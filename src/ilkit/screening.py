@@ -25,6 +25,7 @@ from .errors import ConfigError, SearchError
 from .fingerprints import (
     DEFAULT_NBITS,
     DEFAULT_RADIUS,
+    fingerprint_key,
     make_fingerprint,
     pack,
     packed_tanimoto,
@@ -65,12 +66,7 @@ class SearchConfig:
             raise ConfigError("beam_width >= 1, iterations >= 0, top_k >= 1 required")
         if not 0.0 <= self.similarity_floor <= 1.0:
             raise ConfigError("similarity_floor must lie in [0, 1]")
-        if self.fingerprint not in ("ecfp", "atom_pair"):
-            raise ConfigError(f"fingerprint must be ecfp|atom_pair, got {self.fingerprint!r}")
-        if not 0 <= self.radius <= 4:
-            raise ConfigError(f"radius must be in [0, 4], got {self.radius}")
-        if self.nbits < 0 or self.nbits & (self.nbits - 1):
-            raise ConfigError(f"nbits must be 0 or a power of two, got {self.nbits}")
+        fingerprint_key(self.fingerprint, self.radius, self.nbits)
 
 
 @dataclass(frozen=True)
@@ -123,39 +119,22 @@ def top_k_seeds(records: Sequence[SystemRecord], predictor: Callable, config: Se
 
 
 class FingerprintCache:
-    """Fingerprints of one kind, radius and width, by canonical SMILES.
+    """(canonical SMILES, fingerprint) of SMILES texts for one set of
+    fingerprint settings, kept under their ``fingerprint_key`` (``key``).
 
     The fingerprints live in the process-wide molecule table
-    (``ilkit.chem.table``), so every instance with the same parameters
-    shares them and none computes a molecule's fingerprint twice while the
-    table holds it. An instance only fixes the parameters that
-    ``beam_search`` checks against its config.
+    (``ilkit.chem.table``), so every instance with the same key shares them
+    and none computes a molecule's fingerprint twice while the table holds
+    it. A text seen for the first time is parsed once for both.
     """
 
     def __init__(self, kind: str = "ecfp", radius: int = DEFAULT_RADIUS, nbits: int = DEFAULT_NBITS):
-        self.kind = kind
-        self.radius = radius
-        self.nbits = nbits
-        self._key = ("fingerprint", kind, radius, nbits)
+        self.key = fingerprint_key(kind, radius, nbits)
+        # make_fingerprint is looked up per call, so a wrapper on it sees each one.
+        self._make = lambda mol: make_fingerprint(mol, kind, radius, nbits)
 
-    def matches(self, config: SearchConfig) -> bool:
-        return (
-            self.kind == config.fingerprint
-            and self.radius == config.radius
-            and self.nbits == config.nbits
-        )
-
-    def get(self, smiles: str):
-        """Fingerprint of any SMILES text."""
-        return table.derived(smiles, self._key, self._make)[1]
-
-    def sighted(self, text: str) -> tuple:
-        """(canonical SMILES, fingerprint) of any SMILES text; a text seen for
-        the first time is parsed once for both."""
-        return table.derived(text, self._key, self._make)
-
-    def _make(self, mol):
-        return make_fingerprint(mol, self.kind, self.radius, self.nbits)
+    def get(self, text: str) -> tuple:
+        return table.derived(text, self.key, self._make)
 
 
 def _search_pool(role: str, pool: Sequence[str], fps: FingerprintCache) -> tuple:
@@ -163,23 +142,23 @@ def _search_pool(role: str, pool: Sequence[str], fps: FingerprintCache) -> tuple
     rows or None when unfolded) for one role's pool.
 
     Kept in the molecule table under the pool's texts and the fingerprint
-    parameters, so repeated searches over one pool prepare it once. A bad
-    or empty pool raises on every call.
+    key, so repeated searches over one pool prepare it once. A bad or empty
+    pool raises on every call.
     """
 
     def prepare():
-        sighted = dict(fps.sighted(s) for s in pool)
+        sighted = dict(fps.get(s) for s in pool)
         smiles = tuple(sorted(sighted))
         if not smiles:
             raise SearchError(f"pool for role {role!r} is empty")
         pool_fps = tuple(sighted[s] for s in smiles)
-        if not fps.nbits:
+        if not fps.key[-1]:
             return smiles, pool_fps, None
-        words, counts = pack(pool_fps, fps.nbits)
+        words, counts = pack(pool_fps, fps.key[-1])
         words.flags.writeable = counts.flags.writeable = False
         return smiles, pool_fps, (words, counts)
 
-    return table.memo(("search pool", tuple(pool), fps.kind, fps.radius, fps.nbits), prepare)
+    return table.memo(("search pool", tuple(pool), fps.key), prepare)
 
 
 def _with_canonical_roles(record: SystemRecord) -> SystemRecord:
@@ -215,9 +194,9 @@ def beam_search(
         raise SearchError("beam_search needs at least one mutable role pool")
     minimize = config.objective == "minimize"
     seeds = [_with_canonical_roles(rec) for rec in seeds]
-    if fingerprints is not None and not fingerprints.matches(config):
-        raise ConfigError("fingerprint cache parameters do not match the search config")
     fps = fingerprints or FingerprintCache(config.fingerprint, config.radius, config.nbits)
+    if fps.key != fingerprint_key(config.fingerprint, config.radius, config.nbits):
+        raise ConfigError("fingerprint cache parameters do not match the search config")
     pools = {role: _search_pool(role, pool, fps) for role, pool in pools.items()}
     seed_cands = _seed_candidates(seeds, predictor)
 
@@ -244,7 +223,7 @@ def beam_search(
                     raise SearchError(f"seed lacks the mutable role {role!r}")
                 # The pool is deduplicated: anything but (current,) holds a candidate.
                 any_candidate = any_candidate or pool != (current,)
-                cur_fp = fps.get(current)
+                cur_fp = fps.get(current)[1]
                 if config.nbits:
                     row, count = pack([cur_fp], config.nbits)
                     sims = packed_tanimoto(row[0], count[0], *packed)

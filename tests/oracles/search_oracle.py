@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 from ilkit.chem import canonicalize
 from ilkit.datasets import SystemRecord
 from ilkit.errors import ConfigError, SearchError
-from ilkit.fingerprints import tanimoto
+from ilkit.fingerprints import fingerprint_key, tanimoto
 from ilkit.screening import (
     Candidate,
     FingerprintCache,
@@ -46,10 +46,11 @@ def beam_search(
         if not pool:
             raise SearchError(f"pool for role {role!r} is empty")
 
-    if fingerprints is not None and not fingerprints.matches(config):
+    key = fingerprint_key(config.fingerprint, config.radius, config.nbits)
+    if fingerprints is not None and fingerprints.key != key:
         raise ConfigError("fingerprint cache parameters do not match the search config")
     fps = fingerprints or FingerprintCache(config.fingerprint, config.radius, config.nbits)
-    pool_fps = {role: [fps.get(smiles) for smiles in pool] for role, pool in pools.items()}
+    pool_fps = {role: [fps.get(smiles)[1] for smiles in pool] for role, pool in pools.items()}
     score_cache: dict[tuple, float] = {}
 
     def score(record: SystemRecord) -> float:
@@ -85,7 +86,7 @@ def beam_search(
                 current = getattr(cand.record, role)
                 if current is None:
                     raise SearchError(f"seed lacks the mutable role {role!r}")
-                cur_fp = fps.get(current)
+                cur_fp = fps.get(current)[1]
                 for smiles, fp in zip(pool, pool_fps[role]):
                     if smiles == current:
                         continue

@@ -379,7 +379,7 @@ def _screening_pool(rng, size, cache):
     pool = {}
 
     def admit(smi):
-        smi, fp = cache.sighted(smi)
+        smi, fp = cache.get(smi)
         if fp.bits not in seen:
             seen.add(fp.bits)
             pool[smi] = fp

@@ -135,6 +135,8 @@ def test_bench_tracer_counts_a_search_and_uninstalls(tmp_path, monkeypatch):
                  "fingerprints.make.calls"):
         assert metrics[name][0] > 0, name
     assert "screening.floor_rejected" in metrics
+    # Pool molecules seen for the first time pass through the cache too.
+    assert metrics["screening.fp_cache.hit_frac"][0] < 1.0
 
     _assert_restored(before)
     assert screening.tanimoto is plain_tanimoto

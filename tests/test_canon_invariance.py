@@ -75,17 +75,18 @@ def test_certificate_entries_give_the_uncached_form(equality_panel, data):
     assert _forms_on(_WARM_FORMS, [mol, respelled]) == want
 
 
-CACHES = [FingerprintCache(kind, 2, nbits) for kind in ("ecfp", "atom_pair") for nbits in (2048, 0)]
+SETTINGS = [(kind, 2, nbits) for kind in ("ecfp", "atom_pair") for nbits in (2048, 0)]
+CACHES = [FingerprintCache(*settings) for settings in SETTINGS]
 # Kept across every example: first sight among the entries of earlier ones.
 _WARM_ENTRIES: OrderedDict = OrderedDict()
 
 
 def _sight(entries, max_entries, text, caches):
-    """``cache.sighted(text)`` for each cache, in order, on the given table."""
+    """``cache.get(text)`` for each cache, in order, on the given table."""
     saved = table._entries, table.MAX_ENTRIES
     table._entries, table.MAX_ENTRIES = entries, max_entries
     try:
-        return [cache.sighted(text) for cache in caches]
+        return [cache.get(text) for cache in caches]
     finally:
         table._entries, table.MAX_ENTRIES = saved
 
@@ -94,8 +95,8 @@ def _sight(entries, max_entries, text, caches):
 def _canonical_parse_fingerprints(name):
     canonical = MOLECULES[name].canonical_smiles
     return [
-        (canonical, make_fingerprint(parse_smiles(canonical), c.kind, c.radius, c.nbits))
-        for c in CACHES
+        (canonical, make_fingerprint(parse_smiles(canonical), *settings))
+        for settings in SETTINGS
     ]
 
 

@@ -108,7 +108,9 @@ def test_fingerprint_hex(tmp_path):
             (["--radius", "5"], "radius must be in [0, 4], got 5"),
         ]
     ]
-    + [("fingerprint", ["--nbits", "0"], "unfolded fingerprints have no fixed-width encoding")],
+    + [("fingerprint", ["--nbits", "0"], "unfolded fingerprints have no fixed-width encoding")]
+    + [(command, ["--kind", "atom_pair", "--radius", "7"], "radius must be in [0, 4], got 7")
+       for command in ("fingerprint", "similarity")],
 )
 def test_bad_fingerprint_setting_is_a_config_error(tmp_path, command, flags, message):
     smi = tmp_path / "mols.smi"
@@ -594,6 +596,22 @@ def test_malformed_lookup_table_is_a_config_error(tmp_path, table):
         ["search", records, "--anion-pool", str(pool), "--lookup", str(lookup)]
     )
     _assert_one_config_error(code, out, err, str(lookup))
+
+
+def test_lookup_role_that_is_not_text_is_a_config_error(tmp_path):
+    _records, pool, lookup = _search_inputs(tmp_path)
+    lookup.write_text(json.dumps({"entries": [
+        {"cation": 5, "anion": SCN, "solute": CO2, "value": 1.0},
+    ]}))
+    code, out, err = run_cli(
+        ["modify-anion", "--cation", EMIM, "--seed-anion", SCN, "--pool", str(pool),
+         "--solute", CO2, "--lookup", str(lookup)]
+    )
+    assert (code, out) == (1, ""), err
+    assert err == (
+        f"error[config]: {lookup}: malformed lookup table: "
+        f"roles (5, '{SCN}', '{CO2}', None) are not each a string or null\n"
+    )
 
 
 def test_model_narrower_than_the_layout_is_a_prediction_error(tmp_path):

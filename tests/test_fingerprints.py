@@ -7,7 +7,7 @@ import pytest
 from genmol import corpus
 from ilkit.chem import parse_smiles, structural_match, write_smiles
 from ilkit.descriptors.topology import heavy_distances
-from ilkit import fingerprints
+from ilkit import fingerprints, screening
 from ilkit.errors import ConfigError, IlkitError
 from ilkit.stablehash import combine
 from ilkit.fingerprints import (
@@ -16,6 +16,7 @@ from ilkit.fingerprints import (
     atom_pair_identifiers,
     ecfp,
     ecfp_identifiers,
+    fingerprint_key,
     make_fingerprint,
     similarity_matrix,
     tanimoto,
@@ -340,9 +341,46 @@ def test_unknown_kind_or_bad_radius_raises_every_time_and_keeps_nothing():
     kept = make_fingerprint(mol, "ecfp")
     before = dict(mol._derived)
     for _ in range(2):
-        with pytest.raises(IlkitError, match="unknown fingerprint kind"):
+        with pytest.raises(ConfigError, match=r"^fingerprint must be ecfp\|atom_pair, got 'maccs'$"):
             make_fingerprint(mol, "maccs")
-        with pytest.raises(IlkitError, match="radius"):
+        with pytest.raises(ConfigError, match="radius"):
             make_fingerprint(mol, "ecfp", radius=5)
+        with pytest.raises(ConfigError, match=r"^radius must be in \[0, 4\], got 7$"):
+            make_fingerprint(mol, "atom_pair", radius=7)
     assert mol._derived == before
     assert make_fingerprint(mol, "ecfp") is kept
+
+
+# One check of the settings, and one key per setting that changes a fingerprint.
+
+
+@pytest.mark.parametrize(
+    "kind, radius, nbits, message",
+    [
+        ("maccs", 2, 2048, "fingerprint must be ecfp|atom_pair, got 'maccs'"),
+        ("ecfp", 5, 2048, "radius must be in [0, 4], got 5"),
+        ("atom_pair", -1, 2048, "radius must be in [0, 4], got -1"),
+        ("atom_pair", 2, 100, "nbits must be 0 or a power of two, got 100"),
+        ("ecfp", 2, -8, "nbits must be 0 or a power of two, got -8"),
+    ],
+)
+def test_every_entry_point_refuses_bad_settings_with_one_message(kind, radius, nbits, message):
+    mol = parse_smiles("CCO")
+    for call in (
+        lambda: fingerprint_key(kind, radius, nbits),
+        lambda: make_fingerprint(mol, kind, radius, nbits),
+        lambda: Fingerprint.from_ids(kind, {1, 2}, nbits, radius),
+        lambda: screening.SearchConfig(fingerprint=kind, radius=radius, nbits=nbits).validate(),
+        lambda: screening.FingerprintCache(kind, radius, nbits),
+    ):
+        with pytest.raises(ConfigError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_fingerprint_key_drops_the_atom_pair_radius():
+    assert fingerprint_key("ecfp", 3, 64) == ("fingerprint", "ecfp", 3, 64)
+    pairs = [fingerprint_key("atom_pair", r, 0) for r in range(5)]
+    assert pairs == [("fingerprint", "atom_pair", None, 0)] * 5
+    assert Fingerprint.from_ids("atom_pair", {1}, 64, 3).radius is None
+    assert screening.FingerprintCache("atom_pair", 1).key == ("fingerprint", "atom_pair", None, 2048)

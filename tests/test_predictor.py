@@ -323,6 +323,23 @@ def test_external_malformed_response_names_record():
         external_predict([sys.executable, "-c", _BAD_THIRD], _records(5))
 
 
+# Answers 1.0 to the first request and its first argument to the second.
+_ANSWER_SECOND = (
+    "import sys\n"
+    "for i, line in enumerate(sys.stdin):\n"
+    "    print(sys.argv[1] if i == 1 else '{\"value\": 1.0}', flush=True)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "answer", ['{"value": NaN}', '{"value": Infinity}', '{"value": true}', '{"value": "1.5"}']
+)
+def test_external_value_that_is_not_a_finite_number_is_malformed(answer):
+    with pytest.raises(ExternalPredictorError) as info:
+        external_predict([sys.executable, "-c", _ANSWER_SECOND, answer], _records(3))
+    assert str(info.value) == f"record 1: malformed response {answer.encode()!r}"
+
+
 def test_external_process_exit_reported():
     with pytest.raises(ExternalPredictorError, match="record 0"):
         external_predict([sys.executable, "-c", "import sys; sys.exit(3)"], _records(2))

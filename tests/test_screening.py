@@ -1,14 +1,15 @@
 import math
 import random
+from collections import OrderedDict
 from dataclasses import replace
 
 import pytest
 
 from genmol import random_molecule
-from ilkit import screening
-from ilkit.chem import canonicalize, parse_smiles
+from ilkit import fingerprints, screening
+from ilkit.chem import canonicalize, parse_smiles, table
 from ilkit.datasets import SystemRecord, validate_record
-from ilkit.errors import IlkitError, SearchError
+from ilkit.errors import ConfigError, IlkitError, SearchError
 from ilkit.fingerprints import ecfp, tanimoto
 from ilkit.screening import (
     FingerprintCache,
@@ -435,6 +436,48 @@ def test_repeated_searches_over_one_pool_equal_per_pair_and_prepare_it_once(monk
     # The prepared pool is shared between searches and cannot be written to.
     _smiles, _fps, (words, counts) = screening._search_pool("anion", pool, FingerprintCache())
     assert not words.flags.writeable and not counts.flags.writeable
+
+
+def test_atom_pair_caches_that_differ_only_in_radius_share_entries(monkeypatch):
+    monkeypatch.setattr(table, "_entries", OrderedDict())
+    calls = []
+    plain = fingerprints.atom_pair_identifiers
+    monkeypatch.setattr(fingerprints, "atom_pair_identifiers", lambda mol: calls.append(1) or plain(mol))
+    first = FingerprintCache("atom_pair", 1).get("CCO")
+    assert FingerprintCache("atom_pair", 3).get("OCC") == first
+    assert len(calls) == 1
+
+
+def test_atom_pair_searches_that_differ_only_in_radius_prepare_the_pool_once(monkeypatch):
+    pool, _target, predictor = _pool_and_predictor(seed=14, size=60)
+    monkeypatch.setattr(table, "_entries", OrderedDict())
+    packed = []
+    plain = screening.pack
+    monkeypatch.setattr(screening, "pack", lambda fps, nbits: packed.append(len(fps)) or plain(fps, nbits))
+    results = [
+        beam_search([_seed_record(pool[3])], {"anion": pool}, predictor, SearchConfig(
+            objective="maximize", beam_width=4, iterations=3, similarity_floor=0.3,
+            fingerprint="atom_pair", radius=radius,
+        ))
+        for radius in (1, 3)
+    ]
+    assert results[0] == results[1]
+    assert [n for n in packed if n > 1] == [len(set(map(canonicalize, pool)))]
+
+
+def test_a_cache_must_have_the_search_config_fingerprint_key():
+    pool, _target, predictor = _pool_and_predictor(seed=15, size=20)
+    seeds, pools = [_seed_record(pool[0])], {"anion": pool}
+    pairs = SearchConfig(iterations=1, fingerprint="atom_pair", radius=1)
+    # An atom-pair radius is not part of the key.
+    beam_search(seeds, pools, predictor, pairs, FingerprintCache("atom_pair", 3))
+    for cfg, cache in [
+        (SearchConfig(iterations=1, radius=1), FingerprintCache("ecfp", 3)),
+        (SearchConfig(iterations=1), FingerprintCache("ecfp", 2, 64)),
+        (pairs, FingerprintCache("ecfp", 1)),
+    ]:
+        with pytest.raises(ConfigError, match="^fingerprint cache parameters do not match"):
+            beam_search(seeds, pools, predictor, cfg, cache)
 
 
 def test_bad_pool_smiles_raises_on_every_search():

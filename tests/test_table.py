@@ -62,8 +62,8 @@ def test_derived_values_are_bit_identical_to_direct_computation():
             mol = parse_smiles(text)
             for spelling in (text, canonicalize(text)):
                 assert _bits(descriptor_values(spelling)) == _bits(compute_descriptors(mol).as_list())
-                assert cache.get(spelling) == make_fingerprint(mol, "ecfp", 2, 2048)
-                assert pairs.get(spelling) == make_fingerprint(mol, "atom_pair", 2, 0)
+                assert cache.get(spelling)[1] == make_fingerprint(mol, "ecfp", 2, 2048)
+                assert pairs.get(spelling)[1] == make_fingerprint(mol, "atom_pair", 2, 0)
 
 
 MESYLATE = "[O-]S(C)(=O)=O"  # canonical: CS([O-])(=O)=O
@@ -135,8 +135,8 @@ def test_pool_preparation_parses_each_text_once(monkeypatch):
     cache = FingerprintCache()
     smiles, fps, _packed = _search_pool("anion", pool + pool[:5], cache)
     assert sorted(parsed) == sorted(pool)
-    assert [cache.get(s) for s in smiles] == list(fps)
-    assert [canonicalize(t) for t in pool] == [cache.sighted(t)[0] for t in pool]
+    assert [cache.get(s)[1] for s in smiles] == list(fps)
+    assert [canonicalize(t) for t in pool] == [cache.get(t)[0] for t in pool]
     assert sorted(parsed) == sorted(pool)
 
 
