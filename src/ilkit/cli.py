@@ -37,6 +37,7 @@ from .fingerprints import (
     DEFAULT_NBITS,
     DEFAULT_RADIUS,
     KINDS,
+    fingerprint_key,
     make_fingerprint,
     similarity_matrix,
 )
@@ -251,6 +252,7 @@ def _cmd_featurize(args) -> int:
 
 
 def _cmd_fingerprint(args) -> int:
+    fingerprint_key(args.kind, args.radius, args.nbits)
     with _output(args.output) as out:
         for mol in _smiles_lines(args.input, parse_smiles):
             fp = make_fingerprint(mol, args.kind, args.radius, args.nbits)
@@ -259,6 +261,7 @@ def _cmd_fingerprint(args) -> int:
 
 
 def _cmd_similarity(args) -> int:
+    fingerprint_key(args.kind, args.radius, args.nbits)
     mols = list(_smiles_lines(args.input, parse_smiles))
     kinds = KINDS if args.combine == "mean" else [args.kind]
     matrices = [

@@ -234,6 +234,7 @@ def similarity_matrix(
     Folded fingerprints are packed once and counted a row block at a time;
     each cell equals ``tanimoto`` of the pair exactly.
     """
+    fingerprint_key(kind, radius, nbits)
     fps = [make_fingerprint(m, kind, radius, nbits) for m in mols]
     n = len(fps)
     out = np.ones((n, n))

@@ -182,10 +182,12 @@ def beam_search(
     budget or as soon as the beam stops changing.
 
     Each pool is canonicalized, fingerprinted and (when folded) packed once
-    and kept in the molecule table for later searches over it; one
-    vectorized Tanimoto pass per (beam member, role) picks the pool
-    molecules that reach the floor, and only those are visited, in pool
-    order. Unfolded fingerprints visit the whole pool.
+    and kept in the molecule table for later searches over it. Each beam
+    member is expanded once per search, since after that all its neighbours
+    are scored: one vectorized Tanimoto pass per (member, role) picks the
+    pool molecules that reach the floor, visited in pool order (unfolded
+    fingerprints visit the whole pool), and only a neighbour whose role key
+    is new gets a record, a scalar ``tanimoto`` similarity and a prediction.
     """
     config.validate()
     if not seeds:
@@ -211,12 +213,16 @@ def beam_search(
     beam = top(seed_cands.values(), config.beam_width)
     trace = [best_of(seed_cands.values())]
     iterations_run = 0
+    expanded: set[tuple] = set()  # a member's neighbours are all scored once it is expanded
 
     for iteration in range(1, config.iterations + 1):
         expansions: dict[tuple, Candidate] = {}
         any_candidate = False
         any_neighbor = False
-        for cand in beam.values():
+        for parent_key, cand in beam.items():
+            if parent_key in expanded:
+                continue
+            expanded.add(parent_key)
             for role, (pool, pool_fps, packed) in pools.items():
                 current = getattr(cand.record, role)
                 if current is None:
@@ -224,6 +230,7 @@ def beam_search(
                 # The pool is deduplicated: anything but (current,) holds a candidate.
                 any_candidate = any_candidate or pool != (current,)
                 cur_fp = fps.get(current)[1]
+                at = ROLE_ORDER.index(role)
                 if config.nbits:
                     row, count = pack([cur_fp], config.nbits)
                     sims = packed_tanimoto(row[0], count[0], *packed)
@@ -234,17 +241,17 @@ def beam_search(
                     smiles = pool[k]
                     if smiles == current:
                         continue
-                    sim = tanimoto(pool_fps[k], cur_fp)
-                    if sim < config.similarity_floor:
+                    # Folded survivors reach the floor already.
+                    if not config.nbits and tanimoto(pool_fps[k], cur_fp) < config.similarity_floor:
                         continue
                     any_neighbor = True
-                    new_rec = replace(cand.record, **{role: smiles})
-                    key = new_rec.roles_key()
+                    key = (*parent_key[:at], smiles, *parent_key[at + 1:])
                     if key in all_scored or key in expansions:
                         continue
+                    new_rec = replace(cand.record, **{role: smiles})
                     expansions[key] = Candidate(
-                        new_rec, float(predictor(new_rec)), "expanded",
-                        parent_key=cand.roles_key(), similarity=sim, iteration=iteration,
+                        new_rec, float(predictor(new_rec)), "expanded", parent_key=parent_key,
+                        similarity=tanimoto(pool_fps[k], cur_fp), iteration=iteration,
                     )
         if iteration == 1 and any_candidate and not any_neighbor:
             raise SearchError(
@@ -256,7 +263,7 @@ def beam_search(
         iterations_run = iteration
         stalled = set(new_beam) == set(beam)
         beam = new_beam
-        trace.append(best_of(list(all_scored.values())))
+        trace.append(best_of([trace[-1], *expansions.values()]))
         if stalled:
             break
 

@@ -96,10 +96,10 @@ def test_fingerprint_hex(tmp_path):
     assert len(out.strip()) == 512 // 4
 
 
-@pytest.mark.parametrize(
-    "command, flags, message",
+TWO_MOLECULES = "c1ccccc1\nCCO\n"
+BAD_FINGERPRINT_SETTINGS = (
     [
-        (command, flags, message)
+        (command, flags, message, TWO_MOLECULES)
         for command in ("fingerprint", "similarity")
         for flags, message in [
             (["--nbits", "100"], "nbits must be 0 or a power of two, got 100"),
@@ -108,13 +108,29 @@ def test_fingerprint_hex(tmp_path):
             (["--radius", "5"], "radius must be in [0, 4], got 5"),
         ]
     ]
-    + [("fingerprint", ["--nbits", "0"], "unfolded fingerprints have no fixed-width encoding")]
-    + [(command, ["--kind", "atom_pair", "--radius", "7"], "radius must be in [0, 4], got 7")
-       for command in ("fingerprint", "similarity")],
+    + [("fingerprint", ["--nbits", "0"], "unfolded fingerprints have no fixed-width encoding",
+        TWO_MOLECULES)]
+    + [(command, ["--kind", "atom_pair", "--radius", "7"], "radius must be in [0, 4], got 7",
+        TWO_MOLECULES)
+       for command in ("fingerprint", "similarity")]
+    # Settings are checked before any input is read, so an empty file fails too.
+    + [
+        ("fingerprint", ["--radius", "7", "--nbits", "100"], "radius must be in [0, 4], got 7", ""),
+        ("similarity", ["--radius", "7"], "radius must be in [0, 4], got 7", ""),
+        ("similarity", ["--nbits", "100"], "nbits must be 0 or a power of two, got 100", ""),
+    ]
 )
-def test_bad_fingerprint_setting_is_a_config_error(tmp_path, command, flags, message):
+
+
+@pytest.mark.parametrize(
+    "command, flags, message, text",
+    BAD_FINGERPRINT_SETTINGS,
+    # The input text stays out of the ids.
+    ids=[f"{c}-flags{i}-{m}" for i, (c, _f, m, _t) in enumerate(BAD_FINGERPRINT_SETTINGS)],
+)
+def test_bad_fingerprint_setting_is_a_config_error(tmp_path, command, flags, message, text):
     smi = tmp_path / "mols.smi"
-    smi.write_text("c1ccccc1\nCCO\n")
+    smi.write_text(text)
     code, out, err = run_cli([command, str(smi), *flags])
     assert (code, out, err) == (1, "", f"error[config]: {message}\n")
 

@@ -159,6 +159,11 @@ def test_similarity_matrix_properties():
             assert m[i, j] == tanimoto(ecfp(mols[i]), ecfp(mols[j]))
 
 
+def test_similarity_matrix_of_no_molecules_is_empty():
+    assert similarity_matrix([]).shape == (0, 0)
+    assert similarity_matrix([], nbits=0).shape == (0, 0)
+
+
 def test_similarity_matrix_single_molecule():
     m = similarity_matrix([parse_smiles("CCO")])
     assert m.shape == (1, 1) and m[0, 0] == 1.0
@@ -372,6 +377,8 @@ def test_every_entry_point_refuses_bad_settings_with_one_message(kind, radius, n
         lambda: Fingerprint.from_ids(kind, {1, 2}, nbits, radius),
         lambda: screening.SearchConfig(fingerprint=kind, radius=radius, nbits=nbits).validate(),
         lambda: screening.FingerprintCache(kind, radius, nbits),
+        # An empty list holds no molecule to check the settings on.
+        lambda: similarity_matrix([], kind, radius, nbits),
     ):
         with pytest.raises(ConfigError) as info:
             call()

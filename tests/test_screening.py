@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from collections import OrderedDict
@@ -403,6 +404,83 @@ def test_packed_search_equals_per_pair_over_two_roles():
     for floor in (0.1, 0.3):
         cfg = SearchConfig(objective="maximize", beam_width=5, iterations=4, similarity_floor=floor)
         _assert_same_search([seed], {"cation": cations, "anion": anions}, predictor, cfg)
+
+
+def _roles_and_predictor(pool, target, two_roles):
+    """Seed maker, pools and a predictor over one (anion) or two (cation,
+    anion) roles: Tanimoto to ``target``, the anion's at half weight."""
+    target_fp = ecfp(parse_smiles(target))
+    similarity = functools.cache(lambda smi: tanimoto(ecfp(parse_smiles(smi)), target_fp))
+    if not two_roles:
+        return _seed_record, {"anion": pool}, lambda record: similarity(record.anion)
+    half = len(pool) // 2
+    pools = {"cation": pool[:half], "anion": pool[half:]}
+
+    def seed(smiles):
+        return SystemRecord("il_solute", cation=smiles, anion=pools["anion"][-1],
+                            solute=canonicalize(CO2), temperature=298.15)
+
+    return seed, pools, lambda record: similarity(record.cation) + 0.5 * similarity(record.anion)
+
+
+def test_search_equals_per_pair_on_drawn_searches():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    pool, target, _predictor = _pool_and_predictor(seed=16, size=60)
+
+    @hypothesis.settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        two_roles = data.draw(st.booleans())
+        sub = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=24, unique=True))
+        seed, pools, predictor = _roles_and_predictor(sub, target, two_roles)
+        starts = next(iter(pools.values()))
+        seeds = [seed(s) for s in data.draw(st.lists(st.sampled_from(starts), min_size=1, max_size=3))]
+        cfg = SearchConfig(
+            objective=data.draw(st.sampled_from(["maximize", "minimize"])),
+            beam_width=data.draw(st.integers(1, 6)),
+            iterations=data.draw(st.integers(0, 5)),
+            similarity_floor=data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 0.6)),
+            nbits=data.draw(st.sampled_from([0, 32, 2048])),
+        )
+        _assert_same_search(seeds, pools, predictor, cfg)
+
+    check()
+
+
+def _beam_history(result, cfg):
+    """The beam at the start of each iteration run, rebuilt from the ranking."""
+    minimize = cfg.objective == "minimize"
+
+    def top(cands):
+        return sorted(cands, key=lambda c: screening._sort_key(c, minimize))[: cfg.beam_width]
+
+    beam = top(c for c in result.ranked if c.provenance == "seed")
+    history = []
+    for iteration in range(1, result.iterations_run + 1):
+        history.append(beam)
+        beam = top([*beam, *(c for c in result.ranked if c.iteration == iteration)])
+    return history
+
+
+def test_each_member_is_packed_once_and_each_new_candidate_compared_once(monkeypatch):
+    pool, target, _predictor = _pool_and_predictor(seed=11, size=80)
+    seed, pools, predictor = _roles_and_predictor(pool, target, two_roles=True)
+    cfg = SearchConfig(objective="maximize", beam_width=5, iterations=5, similarity_floor=0.1)
+    packed, compared, predicted = [], [], []
+    for name, log in (("packed_tanimoto", packed), ("tanimoto", compared)):
+        plain = getattr(screening, name)
+        monkeypatch.setattr(screening, name, lambda *a, plain=plain, log=log: log.append(1) or plain(*a))
+    result = beam_search(
+        [seed(pools["cation"][3])], pools, lambda rec: predicted.append(1) or predictor(rec), cfg
+    )
+    history = _beam_history(result, cfg)
+    members = {c.roles_key() for beam in history for c in beam}
+    # Some member stays in the beam for at least three iterations.
+    assert max(sum(c.roles_key() == key for beam in history for c in beam) for key in members) >= 3
+    assert len(packed) == len(members) * len(pools)
+    seeds = sum(c.provenance == "seed" for c in result.ranked)
+    assert len(compared) == len(predicted) - seeds == len(result.ranked) - seeds
 
 
 def test_packed_search_equals_per_pair_on_duplicate_seeds():
