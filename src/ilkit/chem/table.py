@@ -11,7 +11,7 @@ One bounded store holds four kinds of entry:
   ``canonical_form`` for achiral components with all-distinct refinement
   ranks, so every spelling of such a molecule shares one entry;
 - any other key a caller fills through ``memo``, such as a beam-search
-  pool prepared under its texts and fingerprint parameters.
+  pool and the floor survivors of its molecules.
 
 Entries are strings, numbers and derived values, never ``Molecule`` or
 ``Atom`` objects. Every value is a pure function of the molecule, whatever

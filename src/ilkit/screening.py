@@ -182,24 +182,34 @@ def beam_search(
     budget or as soon as the beam stops changing.
 
     Each pool is canonicalized, fingerprinted and (when folded) packed once
-    and kept in the molecule table for later searches over it. Each beam
-    member is expanded once per search, since after that all its neighbours
-    are scored: one vectorized Tanimoto pass per (member, role) picks the
-    pool molecules that reach the floor, visited in pool order (unfolded
-    fingerprints visit the whole pool), and only a neighbour whose role key
-    is new gets a record, a scalar ``tanimoto`` similarity and a prediction.
+    and kept in the molecule table. Each beam member is expanded once per
+    search, since after that all its neighbours are scored. Its survivors,
+    the pool molecules that reach the floor, come from one vectorized
+    Tanimoto pass (scalar ``tanimoto`` when unfolded); when its value is in
+    the pool they are kept in the table under the pool, fingerprint key and
+    floor, so later members and searches read them. They are visited in
+    pool order, and only one whose role key is new gets a record, a scalar
+    ``tanimoto`` similarity and a prediction.
     """
     config.validate()
     if not seeds:
         raise SearchError("beam_search needs at least one seed")
     if not pools:
         raise SearchError("beam_search needs at least one mutable role pool")
+    if not set(pools) <= set(ROLE_ORDER):
+        raise SearchError(f"pool roles must be among {ROLE_ORDER}, got {list(pools)}")
     minimize = config.objective == "minimize"
     seeds = [_with_canonical_roles(rec) for rec in seeds]
     fps = fingerprints or FingerprintCache(config.fingerprint, config.radius, config.nbits)
     if fps.key != fingerprint_key(config.fingerprint, config.radius, config.nbits):
         raise ConfigError("fingerprint cache parameters do not match the search config")
+    floor = config.similarity_floor
     pools = {role: _search_pool(role, pool, fps) for role, pool in pools.items()}
+    # Each pool molecule's floor survivors, filled as members need them.
+    known = {
+        role: table.memo(("floor survivors", pool, fps.key, floor), lambda: dict.fromkeys(pool))
+        for role, (pool, _, _) in pools.items()
+    }
     seed_cands = _seed_candidates(seeds, predictor)
 
     def best_of(cands) -> Candidate:
@@ -231,18 +241,20 @@ def beam_search(
                 any_candidate = any_candidate or pool != (current,)
                 cur_fp = fps.get(current)[1]
                 at = ROLE_ORDER.index(role)
-                if config.nbits:
-                    row, count = pack([cur_fp], config.nbits)
-                    sims = packed_tanimoto(row[0], count[0], *packed)
-                    survivors = np.flatnonzero(sims >= config.similarity_floor).tolist()
-                else:
-                    survivors = range(len(pool))
-                for k in survivors:
+                survivors = known[role].get(current)
+                if survivors is None:
+                    if config.nbits:
+                        row, count = pack([cur_fp], config.nbits)
+                        sims = packed_tanimoto(row[0], count[0], *packed)
+                    else:
+                        sims = np.array([tanimoto(fp, cur_fp) for fp in pool_fps])
+                    survivors = np.flatnonzero(sims >= floor).astype(np.int32)
+                    survivors.flags.writeable = False
+                    if current in known[role]:
+                        known[role][current] = survivors
+                for k in survivors.tolist():
                     smiles = pool[k]
                     if smiles == current:
-                        continue
-                    # Folded survivors reach the floor already.
-                    if not config.nbits and tanimoto(pool_fps[k], cur_fp) < config.similarity_floor:
                         continue
                     any_neighbor = True
                     key = (*parent_key[:at], smiles, *parent_key[at + 1:])

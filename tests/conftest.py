@@ -1,5 +1,6 @@
 import os
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
-from ilkit.chem import parse_smiles
+from ilkit.chem import parse_smiles, table
 
 
 def load_ions() -> dict[str, str]:
@@ -23,6 +24,18 @@ def load_ions() -> dict[str, str]:
         smiles, name = line.split()
         out[name] = smiles
     return out
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    """The molecule table, emptied for one test and restored after it.
+
+    The table keeps pools, fingerprints and floor survivors for the whole
+    process, so a test that counts packed passes, parses or predictor calls
+    starts from it to count the same whatever ran before.
+    """
+    monkeypatch.setattr(table, "_entries", OrderedDict())
+    return table
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,6 @@
 import functools
 import math
 import random
-from collections import OrderedDict
 from dataclasses import replace
 
 import pytest
@@ -463,14 +462,22 @@ def _beam_history(result, cfg):
     return history
 
 
-def test_each_member_is_packed_once_and_each_new_candidate_compared_once(monkeypatch):
+def _count_calls(monkeypatch, name):
+    """A list that grows by one on each call of ``screening.<name>``."""
+    log, plain = [], getattr(screening, name)
+    monkeypatch.setattr(screening, name, lambda *a: log.append(1) or plain(*a))
+    return log
+
+
+def test_each_member_value_is_packed_once_and_each_new_candidate_compared_once(
+    monkeypatch, fresh_table
+):
     pool, target, _predictor = _pool_and_predictor(seed=11, size=80)
     seed, pools, predictor = _roles_and_predictor(pool, target, two_roles=True)
     cfg = SearchConfig(objective="maximize", beam_width=5, iterations=5, similarity_floor=0.1)
-    packed, compared, predicted = [], [], []
-    for name, log in (("packed_tanimoto", packed), ("tanimoto", compared)):
-        plain = getattr(screening, name)
-        monkeypatch.setattr(screening, name, lambda *a, plain=plain, log=log: log.append(1) or plain(*a))
+    packed = _count_calls(monkeypatch, "packed_tanimoto")
+    compared = _count_calls(monkeypatch, "tanimoto")
+    predicted = []
     result = beam_search(
         [seed(pools["cation"][3])], pools, lambda rec: predicted.append(1) or predictor(rec), cfg
     )
@@ -478,7 +485,9 @@ def test_each_member_is_packed_once_and_each_new_candidate_compared_once(monkeyp
     members = {c.roles_key() for beam in history for c in beam}
     # Some member stays in the beam for at least three iterations.
     assert max(sum(c.roles_key() == key for beam in history for c in beam) for key in members) >= 3
-    assert len(packed) == len(members) * len(pools)
+    # Members share values: one pass per distinct value of each role, not per member.
+    values = {(role, getattr(c.record, role)) for beam in history for c in beam for role in pools}
+    assert len(packed) == len(values) < len(members) * len(pools)
     seeds = sum(c.provenance == "seed" for c in result.ranked)
     assert len(compared) == len(predicted) - seeds == len(result.ranked) - seeds
 
@@ -499,14 +508,23 @@ def test_packed_search_equals_per_pair_on_duplicate_seeds():
     )
 
 
-def test_repeated_searches_over_one_pool_equal_per_pair_and_prepare_it_once(monkeypatch):
+def test_repeated_searches_over_one_pool_equal_per_pair_and_prepare_it_once(
+    monkeypatch, fresh_table
+):
     pool, _target, predictor = _pool_and_predictor(seed=12, size=150)
     calls = []
     plain = screening.canonicalize
     monkeypatch.setattr(screening, "canonicalize", lambda s: calls.append(s) or plain(s))
+    packed = _count_calls(monkeypatch, "packed_tanimoto")
     cfg = SearchConfig(objective="maximize", beam_width=6, iterations=4, similarity_floor=0.3)
+    passes = []
+    # Cold, then warm: each result and predictor call sequence equals the oracle's.
     for seed in (pool[5], pool[6], pool[5]):
+        before = len(packed)
         _assert_same_search([_seed_record(seed)], {"anion": pool}, predictor, cfg)
+        passes.append(len(packed) - before)
+    # The repeated search reads every member's floor survivors from the table.
+    assert passes[0] > 0 and passes[2] == 0
     # The pool is prepared: a further search canonicalizes only the seed's three roles.
     calls.clear()
     beam_search([_seed_record(pool[7])], {"anion": pool}, predictor, cfg)
@@ -516,8 +534,63 @@ def test_repeated_searches_over_one_pool_equal_per_pair_and_prepare_it_once(monk
     assert not words.flags.writeable and not counts.flags.writeable
 
 
-def test_atom_pair_caches_that_differ_only_in_radius_share_entries(monkeypatch):
-    monkeypatch.setattr(table, "_entries", OrderedDict())
+def _survivor_lists():
+    """The floor-survivor entries of the molecule table, one per (pool, fingerprint key, floor)."""
+    return [v for k, v in table._entries.items() if k[0] == "floor survivors"]
+
+
+def test_searches_at_another_floor_or_fingerprint_reuse_no_survivors(monkeypatch, fresh_table):
+    pool, _target, predictor = _pool_and_predictor(seed=17, size=100)
+    packed = _count_calls(monkeypatch, "packed_tanimoto")
+    seeds, pools = [_seed_record(pool[4])], {"anion": pool}
+    base = dict(objective="maximize", beam_width=4, iterations=3, similarity_floor=0.3)
+    configs = [
+        SearchConfig(**base),
+        SearchConfig(**{**base, "similarity_floor": 0.2}),
+        SearchConfig(**base, radius=1),
+        SearchConfig(**base, nbits=1024),
+        SearchConfig(**base, fingerprint="atom_pair", nbits=0),
+    ]
+    for cfg in configs:
+        before = len(packed)
+        result = _assert_same_search(seeds, pools, predictor, cfg)
+        values = {c.record.anion for beam in _beam_history(result, cfg) for c in beam}
+        # Folded: one pass per member value. Unfolded: the scalar floor check.
+        assert len(packed) - before == (len(values) if cfg.nbits else 0)
+    assert len(_survivor_lists()) == len(configs)
+    # The first settings again read the lists they kept.
+    before = len(packed)
+    _assert_same_search(seeds, pools, predictor, configs[0])
+    assert len(packed) == before
+
+
+def test_searches_from_every_pool_molecule_keep_one_list_per_molecule(fresh_table):
+    pool, _target, predictor = _pool_and_predictor(seed=18, size=30)
+    outside = canonicalize("CC(=O)[O-]")
+    cfg = SearchConfig(objective="maximize", beam_width=3, iterations=2, similarity_floor=0.0)
+    for seed in [*pool, outside]:
+        beam_search([_seed_record(seed)], {"anion": pool}, predictor, cfg)
+    [kept] = _survivor_lists()
+    smiles, _fps, _packed = screening._search_pool("anion", pool, FingerprintCache())
+    assert list(kept) == list(smiles) and outside not in kept
+    lists = [v for v in kept.values() if v is not None]
+    assert 0 < len(lists) <= len(smiles)
+    # At floor 0 each list holds the whole pool, as a read-only int array.
+    for survivors in lists:
+        assert survivors.dtype.kind == "i" and not survivors.flags.writeable
+        assert survivors.tolist() == list(range(len(smiles)))
+
+
+def test_a_pool_named_for_a_field_that_is_not_a_role_is_a_search_error():
+    seed = replace(_seed_record("CC(=O)[O-]"), source_id="CCO")
+    cfg = SearchConfig(iterations=2)
+    # Checked before any pool is prepared, so a bad pool SMILES does not get there first.
+    for pools in ({"source_id": ["CCO", "CCCO", "CCN"]}, {"anion": ["CC(C"], "source_id": ["CCO"]}):
+        with pytest.raises(SearchError, match="^pool roles must be among"):
+            beam_search([seed], pools, lambda record: 0.0, cfg)
+
+
+def test_atom_pair_caches_that_differ_only_in_radius_share_entries(monkeypatch, fresh_table):
     calls = []
     plain = fingerprints.atom_pair_identifiers
     monkeypatch.setattr(fingerprints, "atom_pair_identifiers", lambda mol: calls.append(1) or plain(mol))
@@ -526,9 +599,10 @@ def test_atom_pair_caches_that_differ_only_in_radius_share_entries(monkeypatch):
     assert len(calls) == 1
 
 
-def test_atom_pair_searches_that_differ_only_in_radius_prepare_the_pool_once(monkeypatch):
+def test_atom_pair_searches_that_differ_only_in_radius_prepare_the_pool_once(
+    monkeypatch, fresh_table
+):
     pool, _target, predictor = _pool_and_predictor(seed=14, size=60)
-    monkeypatch.setattr(table, "_entries", OrderedDict())
     packed = []
     plain = screening.pack
     monkeypatch.setattr(screening, "pack", lambda fps, nbits: packed.append(len(fps)) or plain(fps, nbits))

@@ -118,7 +118,7 @@ def _pool_search():
     return [(c.roles_key(), c.value, c.provenance, c.similarity, c.iteration) for c in result.ranked]
 
 
-def test_pool_preparation_parses_each_text_once(monkeypatch):
+def test_pool_preparation_parses_each_text_once(monkeypatch, fresh_table):
     """A cold pool: each distinct text is parsed once, for both its
     canonical SMILES and its fingerprint, and later lookups parse nothing."""
     # Respellings only, so no canonical entry can come from a canonical text.
@@ -131,7 +131,6 @@ def test_pool_preparation_parses_each_text_once(monkeypatch):
 
     monkeypatch.setattr(table, "parse_smiles", counted)
     monkeypatch.setattr(canon, "parse_smiles", counted)
-    table._entries.clear()
     cache = FingerprintCache()
     smiles, fps, _packed = _search_pool("anion", pool + pool[:5], cache)
     assert sorted(parsed) == sorted(pool)
